@@ -64,10 +64,22 @@ fn bench_round(c: &mut Criterion) {
 
     let (trainer, groups) = build(false);
     group.bench_function(BenchmarkId::new("strategy", "FedAvg"), |b| {
-        b.iter(|| black_box(trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov)));
+        b.iter(|| {
+            black_box(
+                trainer
+                    .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+                    .0,
+            )
+        });
     });
     group.bench_function(BenchmarkId::new("strategy", "FedProx"), |b| {
-        b.iter(|| black_box(trainer.run(&groups, &FedProx { mu: 0.1 }, SamplingStrategy::ESRCov)));
+        b.iter(|| {
+            black_box(
+                trainer
+                    .run_returning_params(&groups, &FedProx { mu: 0.1 }, SamplingStrategy::ESRCov)
+                    .0,
+            )
+        });
     });
     group.bench_function(BenchmarkId::new("strategy", "SCAFFOLD"), |b| {
         b.iter(|| {
@@ -75,13 +87,23 @@ fn bench_round(c: &mut Criterion) {
                 trainer.model().param_len(),
                 trainer.partition().num_clients(),
             );
-            black_box(trainer.run(&groups, &s, SamplingStrategy::ESRCov))
+            black_box(
+                trainer
+                    .run_returning_params(&groups, &s, SamplingStrategy::ESRCov)
+                    .0,
+            )
         });
     });
 
     let (secure_trainer, secure_groups) = build(true);
     group.bench_function(BenchmarkId::new("strategy", "FedAvg+realSecAgg"), |b| {
-        b.iter(|| black_box(secure_trainer.run(&secure_groups, &FedAvg, SamplingStrategy::ESRCov)));
+        b.iter(|| {
+            black_box(
+                secure_trainer
+                    .run_returning_params(&secure_groups, &FedAvg, SamplingStrategy::ESRCov)
+                    .0,
+            )
+        });
     });
     group.finish();
 }
@@ -133,7 +155,13 @@ fn bench_paper_scale(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(BenchmarkId::new("threads", threads), |b| {
             gfl_parallel::set_default_parallelism(threads);
-            b.iter(|| black_box(trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov)));
+            b.iter(|| {
+                black_box(
+                    trainer
+                        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+                        .0,
+                )
+            });
         });
     }
     gfl_parallel::set_default_parallelism(0);

@@ -17,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use gfl_core::driver::{RunSpec, Runtime};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
 use gfl_core::grouping::CovGrouping;
 use gfl_core::local::FedAvg;
@@ -169,13 +170,15 @@ fn emulated_clock_s(rounds: usize, policy: FaultPolicy) -> f64 {
         ..FaultPlan::none()
     };
     let trainer = trainer.with_faults(plan, policy, &topology);
-    let (_, _, report) = trainer.run_semi_async(
-        &groups,
-        &FedAvg,
+    let spec = RunSpec::new(
+        Runtime::SemiAsync(AsyncConfig::default()),
         SamplingStrategy::ESRCov,
-        &AsyncConfig::default(),
     );
-    report.final_clock_s()
+    let mut state = trainer.start(&FedAvg, trainer.frozen_membership(&groups, spec.sampling));
+    trainer
+        .advance(&spec, &mut state, &FedAvg, trainer.config().global_rounds)
+        .expect("a frozen membership never regroups");
+    state.report.final_clock_s()
 }
 
 fn main() {
@@ -201,7 +204,9 @@ fn main() {
 
     // Warm-up: populate scratch pools, page in the dataset.
     gfl_parallel::set_default_parallelism(1);
-    let reference = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let reference = trainer
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
 
     let mut results = Vec::new();
     let mut per_rounds: Vec<f64> = Vec::new();
@@ -210,7 +215,9 @@ fn main() {
         let alloc_start = ALLOCS.load(Ordering::Relaxed);
         let pool_start = gfl_parallel::stats::snapshot();
         let t0 = Instant::now();
-        let h = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let h = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
         let secs = t0.elapsed().as_secs_f64();
         let allocs = ALLOCS.load(Ordering::Relaxed) - alloc_start;
         let pool = gfl_parallel::stats::snapshot().since(pool_start);

@@ -7,10 +7,16 @@
 //! allocate *exactly* the same number of times run over run (any hidden
 //! per-round growth or disabled-path bookkeeping would break equality),
 //! and the traced run's extra allocations must stay bounded.
+//!
+//! The counter and `set_default_parallelism` are process-global, and the
+//! harness runs tests concurrently, so every measurement holds
+//! [`MEASURE`]: no other test allocates or re-pins the pool mid-count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
+use gfl_core::driver::{RunSpec, Runtime};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
 use gfl_core::grouping::CovGrouping;
 use gfl_core::local::FedAvg;
@@ -63,6 +69,15 @@ fn tiny_world() -> (Trainer, Vec<Vec<usize>>) {
     )
 }
 
+/// Serializes the tests of this binary: each one holds the guard for its
+/// whole body, from pinning the pool to releasing it.
+static MEASURE: Mutex<()> = Mutex::new(());
+
+fn measure_alone() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the next test still measures alone.
+    MEASURE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn allocs_of(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
@@ -73,7 +88,7 @@ fn allocs_of(f: impl FnOnce()) -> u64 {
 ///
 /// After a warm-up leg has seeded every pool (local-training scratch,
 /// group parameter/slot/member buffers, evaluation workspaces), a
-/// steady-state round of `run_resumable` — including its per-round
+/// steady-state round of `Trainer::advance` — including its per-round
 /// evaluation at `eval_every = 1` — must stay within this many heap
 /// allocations. The residue is small unavoidable per-round state
 /// (sampling draws, the round's context/outcome vectors, per-group-round
@@ -83,37 +98,20 @@ const ROUND_ALLOC_BUDGET: u64 = 64;
 
 #[test]
 fn steady_state_rounds_fit_the_alloc_budget() {
+    let _alone = measure_alone();
     gfl_parallel::set_default_parallelism(1);
     let (trainer, groups) = tiny_world();
-    let probs = vec![1.0 / groups.len() as f32; groups.len()];
-    let mut params = trainer.model().init_params(&mut gfl_tensor::init::rng(5));
-    let mut ledger = trainer.ledger_for(&FedAvg);
-    let mut history = gfl_core::history::RunHistory::default();
+    let spec = RunSpec::new(Runtime::Lockstep, SamplingStrategy::Random);
+    let mut state = trainer.start(&FedAvg, trainer.frozen_membership(&groups, spec.sampling));
 
     // Warm-up rounds size every pool; they are excluded from the count.
-    trainer.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut params,
-        &mut ledger,
-        &mut history,
-        0,
-        3,
-    );
+    trainer.advance(&spec, &mut state, &FedAvg, 3).unwrap();
 
     const MEASURED: u64 = 8;
     let allocs = allocs_of(|| {
-        trainer.run_resumable(
-            &groups,
-            &FedAvg,
-            &probs,
-            &mut params,
-            &mut ledger,
-            &mut history,
-            3,
-            MEASURED as usize,
-        );
+        trainer
+            .advance(&spec, &mut state, &FedAvg, MEASURED as usize)
+            .unwrap();
     });
     let per_round = allocs / MEASURED;
     assert!(
@@ -126,6 +124,7 @@ fn steady_state_rounds_fit_the_alloc_budget() {
 
 #[test]
 fn disabled_tracing_adds_no_allocations_to_the_hot_loop() {
+    let _alone = measure_alone();
     // Single-threaded so the worker pool does not allocate on its own
     // schedule mid-measurement.
     gfl_parallel::set_default_parallelism(1);
@@ -133,12 +132,12 @@ fn disabled_tracing_adds_no_allocations_to_the_hot_loop() {
 
     // Warm-up populates lazily-initialized caches (datasets paged, scratch
     // pools sized); afterwards the untraced loop is in steady state.
-    trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    trainer.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
     let untraced_a = allocs_of(|| {
-        trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        trainer.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
     });
     let untraced_b = allocs_of(|| {
-        trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        trainer.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
     });
     assert_eq!(
         untraced_a, untraced_b,
@@ -151,9 +150,9 @@ fn disabled_tracing_adds_no_allocations_to_the_hot_loop() {
     let (t2, groups2) = tiny_world();
     let obs = gfl_obs::TraceCollector::new();
     let traced_trainer = t2.with_observer(std::sync::Arc::clone(&obs));
-    traced_trainer.run(&groups2, &FedAvg, SamplingStrategy::ESRCov);
+    traced_trainer.run_returning_params(&groups2, &FedAvg, SamplingStrategy::ESRCov);
     let traced = allocs_of(|| {
-        traced_trainer.run(&groups2, &FedAvg, SamplingStrategy::ESRCov);
+        traced_trainer.run_returning_params(&groups2, &FedAvg, SamplingStrategy::ESRCov);
     });
     assert!(
         traced < untraced_a * 2 + 10_000,

@@ -5,24 +5,22 @@ use std::io::Write;
 use gfl_baselines::{FedNova, FedProx, Scaffold};
 use gfl_core::checkpoint::Checkpoint;
 use gfl_core::cov::{group_cov, mean_group_cov};
+use gfl_core::driver::{Regroup, RunSpec, RunState, Runtime};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, RobustAggRule, Trainer};
 use gfl_core::grouping::{
-    CdgGrouping, CovGrouping, GroupingAlgorithm, KldGrouping, RandomGrouping, StreamGrouping,
-    VarianceGrouping,
+    CdgGrouping, CovGrouping, GroupingAlgorithm, KldGrouping, PartitionError, RandomGrouping,
+    StreamGrouping, VarianceGrouping,
 };
-use gfl_core::history::RunHistory;
 use gfl_core::local::{FedAvg, LocalUpdate};
 use gfl_core::membership::{MembershipState, RegroupPolicy};
 use gfl_core::sampling::{AggregationWeighting, SamplingStrategy};
-use gfl_core::semi_async::{AsyncConfig, AsyncReport, SchedulerState, StalenessPolicy};
+use gfl_core::semi_async::{AsyncConfig, StalenessPolicy};
 use gfl_core::theory::{self, TheoremInputs};
-use gfl_core::Group;
 use gfl_data::{
     ClientPartition, Dataset, PartitionSpec, SyntheticSpec, VirtualPopulation, VirtualSpec,
 };
 use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy, OutageWindow};
 use gfl_nn::sgd::LrSchedule;
-use gfl_nn::Params;
 use gfl_sim::{CostModel, GroupOpKind, Task, Topology};
 
 use crate::args::{Args, ParseError};
@@ -345,49 +343,34 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
         "training {method} on {} clients / {} edges ({param_count} params, {effective_threads} threads)",
         clients, edges
     )?;
-    let (history, final_params, membership, async_report, scheduler) = match method.as_str() {
-        "fedavg" => run_sim(
+    // Churn runs heal a partition formed over the round-0 cohort; the
+    // rest train the groups formed above, frozen.
+    let spec = RunSpec {
+        runtime: runtime.map_or(Runtime::Lockstep, Runtime::SemiAsync),
+        sampling,
+        regroup: churn_on.then_some(Regroup {
+            algo: grouping.as_ref(),
+            topology: &topology,
+        }),
+    };
+    let membership = match spec.regroup {
+        Some(r) => trainer
+            .form_membership(r.algo, r.topology, sampling)
+            .map_err(regroup_failed)?,
+        None => trainer.frozen_membership(&groups, sampling),
+    };
+    let state = match method.as_str() {
+        "fedavg" => run_all(&trainer, &spec, membership, &FedAvg)?,
+        "fedprox" => run_all(&trainer, &spec, membership, &FedProx { mu })?,
+        "scaffold" => run_all(
             &trainer,
-            churn_on,
-            &groups,
-            grouping.as_ref(),
-            &topology,
-            &FedAvg,
-            sampling,
-            runtime.as_ref(),
-        )?,
-        "fedprox" => run_sim(
-            &trainer,
-            churn_on,
-            &groups,
-            grouping.as_ref(),
-            &topology,
-            &FedProx { mu },
-            sampling,
-            runtime.as_ref(),
-        )?,
-        "scaffold" => run_sim(
-            &trainer,
-            churn_on,
-            &groups,
-            grouping.as_ref(),
-            &topology,
+            &spec,
+            membership,
             &Scaffold::new(param_count, clients),
-            sampling,
-            runtime.as_ref(),
         )?,
         "fednova" => {
             let s = FedNova::from_sizes(&sizes, config.local_rounds, config.batch_size);
-            run_sim(
-                &trainer,
-                churn_on,
-                &groups,
-                grouping.as_ref(),
-                &topology,
-                &s,
-                sampling,
-                runtime.as_ref(),
-            )?
+            run_all(&trainer, &spec, membership, &s)?
         }
         other => {
             return Err(CommandError::Invalid(format!(
@@ -395,6 +378,7 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
             )))
         }
     };
+    let history = &state.history;
 
     writeln!(out, "\n round       cost  accuracy    loss")?;
     for r in history.records() {
@@ -405,7 +389,8 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
         )?;
     }
     writeln!(out, "\nbest accuracy: {:.4}", history.best_accuracy())?;
-    if let Some(rep) = &async_report {
+    if runtime.is_some() {
+        let rep = &state.report;
         let sum = |f: fn(&gfl_core::semi_async::AsyncRoundRecord) -> usize| -> usize {
             rep.rounds.iter().map(f).sum()
         };
@@ -451,7 +436,7 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
     }
     if churn_on {
         writeln!(out, "regroups: {}", history.regroup_summary())?;
-        let m = membership.as_ref().expect("churned runs return membership");
+        let m = &state.membership;
         writeln!(
             out,
             "final partition: {} groups over {} active clients",
@@ -471,26 +456,13 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
         std::fs::write(&path, history.to_csv())?;
         writeln!(out, "wrote {path}")?;
     }
-    if let (Some(path), Some(rep)) = (async_csv, &async_report) {
-        std::fs::write(&path, rep.to_csv())?;
+    if let Some(path) = async_csv {
+        std::fs::write(&path, state.report.to_csv())?;
         writeln!(out, "wrote {path}")?;
     }
     if let Some(path) = checkpoint_path {
-        let last = history.records().last();
-        let mut cp = Checkpoint::new(
-            final_params,
-            last.map_or(0, |r| r.round + 1),
-            history.clone(),
-            config,
-            last.map_or(0.0, |r| r.cost),
-        );
-        if let Some(m) = membership {
-            cp = cp.with_membership(m);
-        }
-        if let Some(s) = scheduler {
-            cp = cp.with_scheduler(s);
-        }
-        cp.save(&path)
+        Checkpoint::new(&state, config)
+            .save(&path)
             .map_err(|e| CommandError::Invalid(e.to_string()))?;
         writeln!(out, "wrote {path}")?;
     }
@@ -556,54 +528,22 @@ fn write_metrics_summary(out: &mut dyn Write, trace: &gfl_obs::Trace) -> std::io
     Ok(())
 }
 
-/// Everything one simulation run can produce: the trajectory and final
-/// params always; membership only from self-healing runs; the async
-/// report and scheduler state only from semi-async runs.
-type SimOutput = (
-    RunHistory,
-    Params,
-    Option<MembershipState>,
-    Option<AsyncReport>,
-    Option<SchedulerState>,
-);
-
-/// Dispatches one simulation run: static groups for fixed-membership runs,
-/// the self-healing engine when a churn plan is active.
-#[allow(clippy::too_many_arguments)]
-fn run_sim<S: LocalUpdate>(
+/// Runs every global round of `spec` from `membership`.
+fn run_all<S: LocalUpdate>(
     trainer: &Trainer,
-    churned: bool,
-    groups: &[Group],
-    grouping: &dyn GroupingAlgorithm,
-    topology: &Topology,
+    spec: &RunSpec<'_>,
+    membership: MembershipState,
     strategy: &S,
-    sampling: SamplingStrategy,
-    runtime: Option<&AsyncConfig>,
-) -> Result<SimOutput, CommandError> {
-    if let Some(acfg) = runtime {
-        if churned {
-            // Online membership under the semi-async scheduler: churn and
-            // healing run on the round boundary, and any membership
-            // transition resets in-flight edge state (docs/ASYNC.md). No
-            // scheduler state is returned — a regroup would invalidate a
-            // resumed busy map anyway.
-            let (h, p, rep, m) = trainer
-                .run_semi_async_self_healing(grouping, topology, strategy, sampling, acfg)
-                .map_err(|e| CommandError::Invalid(format!("regrouping failed: {e}")))?;
-            return Ok((h, p, Some(m), Some(rep), None));
-        }
-        let (h, p, rep, sched) =
-            trainer.run_semi_async_with_scheduler(groups, strategy, sampling, acfg);
-        Ok((h, p, None, Some(rep), Some(sched)))
-    } else if churned {
-        let (h, p, m) = trainer
-            .run_self_healing(grouping, topology, strategy, sampling)
-            .map_err(|e| CommandError::Invalid(format!("regrouping failed: {e}")))?;
-        Ok((h, p, Some(m), None, None))
-    } else {
-        let (h, p) = trainer.run_returning_params(groups, strategy, sampling);
-        Ok((h, p, None, None, None))
-    }
+) -> Result<RunState, CommandError> {
+    let mut state = trainer.start(strategy, membership);
+    trainer
+        .advance(spec, &mut state, strategy, trainer.config().global_rounds)
+        .map_err(regroup_failed)?;
+    Ok(state)
+}
+
+fn regroup_failed(e: PartitionError) -> CommandError {
+    CommandError::Invalid(format!("regrouping failed: {e}"))
 }
 
 const GROUP_HELP: &str = "\
@@ -1454,23 +1394,33 @@ mod tests {
 
     #[test]
     fn simulate_semi_async_checkpoint_carries_scheduler_state() {
-        let path = std::env::temp_dir().join(format!("gfl_async_cp_{}.json", std::process::id()));
-        let (r, _) = run_cmd(
-            simulate,
-            &format!(
-                "--clients 8 --edges 2 --samples 900 --rounds 2 --k 1 --e 1 \
-                 --sample 2 --min-gs 2 --alpha 0.5 --seed 3 --eval-every 1 \
-                 --runtime semi-async --checkpoint {}",
-                path.display()
-            ),
-        );
-        r.unwrap();
-        let cp = Checkpoint::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let sched = cp
-            .scheduler
-            .expect("semi-async checkpoint stores the scheduler");
-        assert!(sched.clock_s > 0.0, "emulated clock must have advanced");
+        // Fixed groups, then churn + healing: both checkpoints carry the
+        // scheduler, the membership, the ledger and the async report.
+        for churn in ["", "--churn moderate --churn-seed 11"] {
+            let path =
+                std::env::temp_dir().join(format!("gfl_async_cp_{}.json", std::process::id()));
+            let (r, _) = run_cmd(
+                simulate,
+                &format!(
+                    "--clients 8 --edges 2 --samples 900 --rounds 2 --k 1 --e 1 \
+                     --sample 2 --min-gs 2 --alpha 0.5 --seed 3 --eval-every 1 \
+                     --runtime semi-async {churn} --checkpoint {}",
+                    path.display()
+                ),
+            );
+            r.unwrap();
+            let cp = Checkpoint::load(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert!(cp.membership.is_some(), "{churn}: no membership");
+            let state = cp.into_state().expect("the checkpoint resumes");
+            assert_eq!(state.round, 2);
+            assert!(
+                state.scheduler.clock_s > 0.0,
+                "{churn}: emulated clock must have advanced"
+            );
+            assert_eq!(state.report.rounds.len(), 2, "{churn}");
+            assert!(state.ledger.total() > 0.0, "{churn}");
+        }
     }
 
     #[test]

@@ -1,20 +1,25 @@
 //! Checkpointing: persist and resume a training session.
 //!
-//! Pairs with [`crate::engine::Trainer::run_resumable`]: a long federated
-//! run (or a §6.1 regrouping schedule) can snapshot the model, the
-//! trajectory, and the configuration after any global round and pick up
-//! where it left off — including across process restarts, since everything
-//! in the engine is deterministic given `(seed, round)`.
+//! A checkpoint is a [`RunState`] plus the configuration it ran under.
+//! Save one after any global round, and a new process resumes from the
+//! file alone: build the same trainer, take the state from
+//! [`Checkpoint::into_state`], and [`crate::engine::Trainer::advance`] it
+//! with the same [`crate::driver::RunSpec`]. The resumed run matches the
+//! uninterrupted one bit for bit — on either runtime, over fixed or
+//! healing groups — since everything else in the engine is a pure function
+//! of `(seed, round)`.
 
 use std::path::Path;
 
 use gfl_nn::Params;
+use gfl_sim::CostLedger;
 use serde::{Deserialize, Serialize};
 
+use crate::driver::RunState;
 use crate::engine::GroupFelConfig;
 use crate::history::RunHistory;
 use crate::membership::MembershipState;
-use crate::semi_async::SchedulerState;
+use crate::semi_async::{AsyncReport, SchedulerState};
 
 /// A resumable training snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -31,15 +36,18 @@ pub struct Checkpoint {
     pub config: GroupFelConfig,
     /// Cumulative emulated cost so far (Eq. 5).
     pub cost_so_far: f64,
-    /// Live membership of a self-healing run (current partition, activity
-    /// mask, group health, sampling probabilities) — `None` for static
-    /// runs. `Option` keeps pre-churn checkpoints (which lack the field)
-    /// loadable without a version bump.
+    /// The run's membership (partition, activity mask, group health,
+    /// sampling probabilities). The `Option` fields below keep checkpoints
+    /// written before each field existed loadable without a version bump;
+    /// a checkpoint missing any of them cannot resume.
     pub membership: Option<MembershipState>,
-    /// Scheduler state of a semi-async run (emulated clock, busy edges,
-    /// parked stale uploads) — `None` for lockstep runs. `Option` keeps
-    /// pre-semi-async checkpoints loadable without a version bump.
+    /// Semi-async scheduler state (emulated clock, busy edges, parked
+    /// stale uploads); idle for lockstep runs.
     pub scheduler: Option<SchedulerState>,
+    /// The cost ledger: breakdown, per-round totals and bytes moved.
+    pub ledger: Option<CostLedger>,
+    /// Semi-async emulated-time report; empty for lockstep runs.
+    pub report: Option<AsyncReport>,
 }
 
 /// Current checkpoint format version.
@@ -52,6 +60,8 @@ pub enum CheckpointError {
     Format(serde_json::Error),
     /// Found version, supported version.
     Version(u32, u32),
+    /// The checkpoint predates this run-state field, so it cannot resume.
+    Missing(&'static str),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -62,6 +72,9 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Version(found, want) => {
                 write!(f, "checkpoint version {found}, supported {want}")
             }
+            CheckpointError::Missing(field) => {
+                write!(f, "checkpoint has no {field}: it cannot resume a run")
+            }
         }
     }
 }
@@ -69,40 +82,35 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 impl Checkpoint {
-    /// Builds a snapshot for the state after `completed_rounds` rounds.
-    pub fn new(
-        params: Params,
-        completed_rounds: usize,
-        history: RunHistory,
-        config: GroupFelConfig,
-        cost_so_far: f64,
-    ) -> Self {
+    /// Snapshots `state`, a run under `config`.
+    pub fn new(state: &RunState, config: GroupFelConfig) -> Self {
+        let state = state.clone();
         Self {
             version: CHECKPOINT_VERSION,
-            params,
-            round: completed_rounds,
-            history,
+            params: state.params,
+            round: state.round,
+            history: state.history,
             config,
-            cost_so_far,
-            membership: None,
-            scheduler: None,
+            cost_so_far: state.ledger.total(),
+            membership: Some(state.membership),
+            scheduler: Some(state.scheduler),
+            ledger: Some(state.ledger),
+            report: Some(state.report),
         }
     }
 
-    /// Attaches the membership state of a self-healing run, so a resumed
-    /// session continues from the healed partition rather than re-forming.
-    pub fn with_membership(mut self, membership: MembershipState) -> Self {
-        self.membership = Some(membership);
-        self
-    }
-
-    /// Attaches the scheduler state of a semi-async run, so a resumed
-    /// session continues from the same emulated clock, busy-edge map, and
-    /// parked stale uploads — the resume is bit-identical, not merely
-    /// approximate.
-    pub fn with_scheduler(mut self, scheduler: SchedulerState) -> Self {
-        self.scheduler = Some(scheduler);
-        self
+    /// The run state to resume from.
+    pub fn into_state(self) -> Result<RunState, CheckpointError> {
+        let missing = CheckpointError::Missing;
+        Ok(RunState {
+            round: self.round,
+            params: self.params,
+            ledger: self.ledger.ok_or(missing("ledger"))?,
+            history: self.history,
+            membership: self.membership.ok_or(missing("membership"))?,
+            scheduler: self.scheduler.ok_or(missing("scheduler"))?,
+            report: self.report.ok_or(missing("report"))?,
+        })
     }
 
     /// Serializes to pretty JSON.
@@ -145,13 +153,19 @@ mod tests {
             loss: 1.2,
             train_loss: 1.5,
         });
-        Checkpoint::new(
-            vec![0.25, -1.5, 3.0],
-            1,
+        // Only the fields every checkpoint version has.
+        Checkpoint {
+            version: CHECKPOINT_VERSION,
+            params: vec![0.25, -1.5, 3.0],
+            round: 1,
             history,
-            GroupFelConfig::tiny(),
-            12.5,
-        )
+            config: GroupFelConfig::tiny(),
+            cost_so_far: 12.5,
+            membership: None,
+            scheduler: None,
+            ledger: None,
+            report: None,
+        }
     }
 
     #[test]
@@ -222,7 +236,10 @@ mod tests {
                 params: vec![0.5, -1.25, 3.75],
             }],
         };
-        let cp = sample().with_scheduler(sched.clone());
+        let cp = Checkpoint {
+            scheduler: Some(sched.clone()),
+            ..sample()
+        };
         let back = Checkpoint::from_json(&cp.to_json()).unwrap();
         // Exact equality, including every f64: resume bit-identity hangs
         // on the JSON float round-trip being lossless.
@@ -249,9 +266,19 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_without_a_ledger_cannot_resume() {
+        assert!(matches!(
+            sample().into_state().unwrap_err(),
+            CheckpointError::Missing("ledger")
+        ));
+    }
+
+    #[test]
     fn checkpointed_session_resumes_equivalently() {
-        // Run 6 rounds straight vs 3 rounds → checkpoint → restore → 3
-        // more: the resumable engine must produce the same final model.
+        // Run 6 rounds straight vs 3 rounds → checkpoint → a fresh trainer
+        // restores every piece of state from the JSON alone → 3 more: the
+        // resumed run must match the straight one bit for bit.
+        use crate::driver::{RunSpec, Runtime};
         use crate::engine::{form_groups_per_edge, Trainer};
         use crate::grouping::CovGrouping;
         use crate::local::FedAvg;
@@ -259,74 +286,49 @@ mod tests {
         use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
         use gfl_sim::Topology;
 
-        let data = SyntheticSpec::tiny().generate(500, 77);
-        let (train, test) = data.split_holdout(5);
-        let partition = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, 77));
-        let topology = Topology::even_split(2, partition.sizes());
+        let mut cfg = GroupFelConfig::tiny();
+        cfg.global_rounds = 6;
+        cfg.seed = 77;
+        let make = || {
+            let data = SyntheticSpec::tiny().generate(500, 77);
+            let (train, test) = data.split_holdout(5);
+            let partition = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, 77));
+            Trainer::new(cfg.clone(), gfl_nn::zoo::tiny(4, 3), train, partition, test)
+        };
+        let trainer = make();
+        let topology = Topology::even_split(2, trainer.partition().sizes());
         let groups = form_groups_per_edge(
             &CovGrouping {
                 min_group_size: 2,
                 max_cov: 1.0,
             },
             &topology,
-            &partition.label_matrix,
+            &trainer.partition().label_matrix,
             77,
         );
-        let mut cfg = GroupFelConfig::tiny();
-        cfg.global_rounds = 6;
-        cfg.seed = 77;
-        let trainer = Trainer::new(cfg.clone(), gfl_nn::zoo::tiny(4, 3), train, partition, test);
-        let covs: Vec<f32> = groups
-            .iter()
-            .map(|g| crate::cov::group_cov(&trainer.partition().label_matrix, g))
-            .collect();
-        let probs = SamplingStrategy::Random.probabilities(&covs);
+        let spec = RunSpec::new(Runtime::Lockstep, SamplingStrategy::Random);
+        let fresh = || trainer.start(&FedAvg, trainer.frozen_membership(&groups, spec.sampling));
 
-        // Straight 6 rounds.
-        let mut p_straight = trainer.model().init_params(&mut gfl_tensor::init::rng(77));
-        let mut ledger = trainer.ledger_for(&FedAvg);
-        let mut hist = RunHistory::default();
-        trainer.run_resumable(
-            &groups,
-            &FedAvg,
-            &probs,
-            &mut p_straight,
-            &mut ledger,
-            &mut hist,
-            0,
-            6,
-        );
+        let mut straight = fresh();
+        trainer.advance(&spec, &mut straight, &FedAvg, 6).unwrap();
 
-        // 3 rounds, checkpoint to JSON, restore, 3 more.
-        let mut p_half = trainer.model().init_params(&mut gfl_tensor::init::rng(77));
-        let mut ledger2 = trainer.ledger_for(&FedAvg);
-        let mut hist2 = RunHistory::default();
-        trainer.run_resumable(
-            &groups,
-            &FedAvg,
-            &probs,
-            &mut p_half,
-            &mut ledger2,
-            &mut hist2,
-            0,
-            3,
+        let mut half = fresh();
+        trainer.advance(&spec, &mut half, &FedAvg, 3).unwrap();
+        let json = Checkpoint::new(&half, cfg.clone()).to_json();
+        drop((trainer, half));
+
+        let restarted = make();
+        let mut resumed = Checkpoint::from_json(&json).unwrap().into_state().unwrap();
+        assert_eq!(resumed.round, 3);
+        restarted.advance(&spec, &mut resumed, &FedAvg, 3).unwrap();
+        assert_eq!(resumed.params, straight.params);
+        assert_eq!(resumed.ledger.total(), straight.ledger.total());
+        assert_eq!(
+            resumed.ledger.round_totals(),
+            straight.ledger.round_totals()
         );
-        let cp = Checkpoint::new(p_half, 3, hist2, cfg, ledger2.total());
-        let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
-        let mut p_resumed = restored.params.clone();
-        let mut hist3 = restored.history.clone();
-        trainer.run_resumable(
-            &groups,
-            &FedAvg,
-            &probs,
-            &mut p_resumed,
-            &mut ledger2,
-            &mut hist3,
-            restored.round,
-            3,
-        );
-        for (a, b) in p_straight.iter().zip(p_resumed.iter()) {
-            assert!((a - b).abs() < 1e-6, "resume diverged: {a} vs {b}");
-        }
+        assert_eq!(resumed.membership, straight.membership);
+        // `tiny()` evaluates every round, so the split adds no record.
+        assert_eq!(resumed.history, straight.history);
     }
 }

@@ -26,7 +26,7 @@ use gfl_faults::{
 };
 use gfl_nn::sgd::LrSchedule;
 use gfl_nn::{Network, Params};
-use gfl_obs::{RoundMetrics, SpanAttrs, SpanKind, TraceCollector};
+use gfl_obs::{MetricsRegistry, RoundMetrics, SpanAttrs, SpanKind, TraceCollector};
 use gfl_sim::{CommModel, CostLedger, CostModel, Task, Topology};
 use gfl_tensor::init;
 use gfl_tensor::{ops, Scalar};
@@ -35,14 +35,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::cov::group_cov;
-use crate::grouping::{GroupingAlgorithm, PartitionError};
+use crate::grouping::GroupingAlgorithm;
 use crate::history::{AsrRecord, RoundRecord, RunHistory};
 use crate::local::{BufPool, LocalScratch, LocalTask, LocalUpdate, ScratchPool};
-use crate::membership::{MembershipState, RegroupPolicy};
-use crate::sampling::{
-    aggregation_weights_into, sample_without_replacement, AggregationWeighting, SamplingStrategy,
-};
+use crate::membership::RegroupPolicy;
+use crate::sampling::{aggregation_weights_into, sample_without_replacement, AggregationWeighting};
 use crate::Group;
 
 /// Hyperparameters of Algorithm 1 plus simulation knobs.
@@ -141,6 +138,13 @@ pub fn form_groups_per_edge(
         }
     }
     groups
+}
+
+/// Records a `kind` span from `start` to now and returns its end.
+pub(crate) fn end_span(ob: &TraceCollector, kind: SpanKind, start: u64, attrs: SpanAttrs) -> u64 {
+    let end = ob.now_ns();
+    ob.record_span_at(kind, start, end, attrs);
+    end
 }
 
 /// The Group-FEL trainer: owns the model, the federated data layout, and
@@ -401,14 +405,14 @@ struct Unit<'a> {
     slot: &'a mut Slot,
 }
 
-/// What one global round reports back to its driver loop.
-struct RoundReport {
+/// What one lockstep round reports back to [`Trainer::advance`].
+pub(crate) struct RoundReport {
     /// The cost budget is exhausted; stop the run.
-    over_budget: bool,
+    pub(crate) over_budget: bool,
     /// Groups drawn this round (Line 6), before outage/empty filtering.
-    sampled: Vec<usize>,
+    pub(crate) sampled: Vec<usize>,
     /// Sampled groups whose survivor quorum failed (health-monitor feed).
-    quorum_missed: Vec<usize>,
+    pub(crate) quorum_missed: Vec<usize>,
 }
 
 impl Trainer {
@@ -565,8 +569,9 @@ impl Trainer {
         self
     }
 
-    /// Enables membership churn + self-healing for the
-    /// [`Trainer::run_self_healing`] entry points. Like fault injection,
+    /// Enables membership churn for healing runs (a
+    /// [`crate::driver::RunSpec`] with a [`crate::driver::Regroup`]); runs
+    /// over fixed groups ignore it. Like fault injection,
     /// churn decisions are pure hashes of the plan seed — a clean plan
     /// (or a disabled policy on a clean plan) leaves every run
     /// bit-identical to one without churn machinery.
@@ -781,118 +786,199 @@ impl Trainer {
         CostLedger::new(model, strategy.group_ops())
     }
 
-    /// Runs Algorithm 1 with the given groups, local strategy, and sampling
-    /// strategy. Returns the evaluation trajectory.
-    pub fn run<S: LocalUpdate>(
-        &self,
-        groups: &[Group],
-        strategy: &S,
-        sampling: SamplingStrategy,
-    ) -> RunHistory {
-        let covs: Vec<Scalar> = groups
-            .iter()
-            .map(|g| group_cov(self.data.label_matrix(), g))
-            .collect();
-        let probs = sampling.probabilities(&covs);
-        self.run_with_probabilities(groups, strategy, &probs)
+    /// Line 6: draws this round's `S` groups by `probs` (none when every
+    /// group has dissolved). The stream is a pure function of `(seed, t)`,
+    /// so a resumed session draws exactly the groups an uninterrupted one
+    /// would, on either runtime.
+    pub(crate) fn sample_groups(&self, t: usize, probs: &[Scalar]) -> Vec<usize> {
+        let s = self.config.sampled_groups.max(1).min(probs.len());
+        let mut rng = init::rng(self.config.seed ^ (t as u64).wrapping_mul(0xA076_1D64_78BD_642F));
+        sample_without_replacement(&mut rng, probs, s)
     }
 
-    /// [`Trainer::run`] that also returns the final global model — for
-    /// callers that deploy or checkpoint the trained parameters.
-    pub fn run_returning_params<S: LocalUpdate>(
-        &self,
-        groups: &[Group],
-        strategy: &S,
-        sampling: SamplingStrategy,
-    ) -> (RunHistory, Params) {
-        let covs: Vec<Scalar> = groups
-            .iter()
-            .map(|g| group_cov(self.data.label_matrix(), g))
-            .collect();
-        let probs = sampling.probabilities(&covs);
-        let mut rng = init::rng(self.config.seed);
-        let mut params = self.model.init_params(&mut rng);
-        let mut ledger = self.ledger_for(strategy);
-        let mut history = RunHistory::default();
-        self.run_resumable(
-            groups,
-            strategy,
-            &probs,
-            &mut params,
-            &mut ledger,
-            &mut history,
-            0,
-            self.config.global_rounds,
-        );
-        (history, params)
-    }
-
-    /// [`Trainer::run`] with an explicit probability vector (Line 4's `p`),
-    /// for experiments that construct `p` directly.
-    pub fn run_with_probabilities<S: LocalUpdate>(
-        &self,
-        groups: &[Group],
-        strategy: &S,
-        probs: &[Scalar],
-    ) -> RunHistory {
-        let mut rng = init::rng(self.config.seed);
-        let mut params = self.model.init_params(&mut rng);
-        let mut ledger = self.ledger_for(strategy);
-        let mut history = RunHistory::default();
-        self.run_resumable(
-            groups,
-            strategy,
-            probs,
-            &mut params,
-            &mut ledger,
-            &mut history,
-            0,
-            self.config.global_rounds,
-        );
-        history
-    }
-
-    /// Resumable core of Algorithm 1: runs `rounds` global rounds starting
-    /// at round index `start_round`, mutating `params`, `ledger`, and
-    /// `history` in place. Enables warm-started sessions — in particular
-    /// the §6.1 *regrouping* extension, where the caller re-forms groups
-    /// every few rounds and resumes training on the same model.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_resumable<S: LocalUpdate>(
-        &self,
-        groups: &[Group],
-        strategy: &S,
-        probs: &[Scalar],
-        params: &mut Params,
-        ledger: &mut CostLedger,
-        history: &mut RunHistory,
-        start_round: usize,
-        rounds: usize,
-    ) {
-        assert_eq!(groups.len(), probs.len(), "one probability per group");
-        assert!(!groups.is_empty(), "need at least one group");
-        history.reserve_rounds(rounds.div_ceil(self.config.eval_every) + 1);
-        for t in start_round..start_round + rounds {
-            let last = t + 1 == start_round + rounds;
-            let report = self.round_once(t, groups, strategy, probs, params, ledger, history, last);
-            if report.over_budget {
-                break;
-            }
-        }
-    }
-
-    /// One global round of Algorithm 1 (Lines 6–15): sample, train the
-    /// sampled groups, degrade gracefully, aggregate, charge costs, and
-    /// evaluate on the cadence. Shared by the static partition loop
-    /// ([`Trainer::run_resumable`]) and the self-healing loop, which
-    /// passes the *effective* (churn-filtered) groups of the round.
-    #[allow(clippy::too_many_arguments)]
-    fn round_once<S: LocalUpdate>(
+    /// The sampled groups that can train this round. Empty groups
+    /// (possible transiently under churn, before the next heal pass) sit
+    /// out, and a dark edge server takes all of its sampled groups offline,
+    /// each outage landing in `events`.
+    pub(crate) fn reachable(
         &self,
         t: usize,
         groups: &[Group],
+        sampled: &[usize],
+        events: &mut Vec<FaultEvent>,
+    ) -> Vec<usize> {
+        sampled
+            .iter()
+            .copied()
+            .filter(|&gi| !groups[gi].is_empty())
+            .filter(|&gi| match &self.faults {
+                Some(fs) => {
+                    let edge = fs.edge_of_client[groups[gi][0]];
+                    let down = fs.injector.edge_down(edge, t);
+                    if down {
+                        events.push(FaultEvent::EdgeOutage {
+                            round: t,
+                            edge,
+                            group: gi,
+                        });
+                    }
+                    !down
+                }
+                None => true,
+            })
+            .collect()
+    }
+
+    /// Charges Eq. 5 for every group that attempted the round — stale,
+    /// rejected or lost, the work was done and the ledger is effort, not
+    /// luck — plus every member's client↔edge bytes and the measured
+    /// defense-filter work, then closes the ledger's round. Returns the
+    /// defense counters `(similarity_evals, norm_passes)`.
+    pub(crate) fn charge_round<S: LocalUpdate>(
+        &self,
+        outcomes: &[GroupOutcome],
         strategy: &S,
+        param_len: usize,
+        ledger: &mut CostLedger,
+    ) -> (u64, u64) {
+        let cfg = &self.config;
+        let client_bytes = self.comm_model().client_bytes_per_round(
+            param_len,
+            cfg.group_rounds,
+            strategy.upload_payload_factor(),
+        );
+        // One pooled size buffer serves every group.
+        let mut sizes = self.member_pool.take();
+        for o in outcomes {
+            sizes.clear();
+            sizes.extend(o.members.iter().map(|&c| self.data.client_size(c)));
+            ledger.charge_group(&sizes, cfg.group_rounds, cfg.local_rounds);
+            ledger.charge_client_edge_bytes(o.members.len() as u64 * client_bytes);
+        }
+        self.member_pool.put(sizes);
+        // Measured defense work (FLAME-style cosine clustering) lands in
+        // the ledger alongside the emulated group ops, so a real defense
+        // shows up in the emulated round time.
+        let defense = outcomes.iter().fold((0, 0), |(sims, norms), o| {
+            (
+                sims + o.defense.similarity_evals,
+                norms + o.defense.norm_passes,
+            )
+        });
+        if defense != (0, 0) {
+            ledger.charge_defense(defense.0, defense.1);
+        }
+        ledger.end_round();
+        defense
+    }
+
+    /// Evaluates the global model on the cadence — every `eval_every`
+    /// rounds, and whenever `force`d (a run's last or over-budget round):
+    /// test accuracy and loss, the attack-success rates of an attached
+    /// adversary, and one [`RoundRecord`]. Returns the traced eval time
+    /// and the ASR record, if any.
+    pub(crate) fn evaluate_round(
+        &self,
+        t: usize,
+        force: bool,
+        params: &[Scalar],
+        train_loss: Scalar,
+        cost: f64,
+        history: &mut RunHistory,
+    ) -> (u64, Option<AsrRecord>) {
+        if !(t.is_multiple_of(self.config.eval_every) || force) {
+            return (0, None);
+        }
+        let obs = self.obs.as_deref();
+        let eval_start = obs.map(|ob| ob.now_ns());
+        let eval = self.evaluate(params);
+        // Both attack eval sets carry the attacker's label, so plain
+        // accuracy on them *is* the success rate.
+        let asr = self.adversary.as_ref().map(|adv| {
+            let rate = |d: &Dataset| {
+                self.model
+                    .evaluate_pooled(params, d.features(), d.labels(), &self.eval_pool)
+                    .accuracy
+            };
+            let r = AsrRecord {
+                round: t,
+                trigger_asr: adv.trigger_eval.as_ref().map(&rate),
+                flip_asr: adv.flip_eval.as_ref().map(&rate),
+            };
+            history.record_asr(r);
+            r
+        });
+        let mut eval_ns = 0u64;
+        if let Some(ob) = obs {
+            let start = eval_start.unwrap();
+            eval_ns =
+                end_span(ob, SpanKind::Eval, start, SpanAttrs::round(t)).saturating_sub(start);
+        }
+        history.push(RoundRecord {
+            round: t,
+            cost,
+            accuracy: eval.accuracy,
+            loss: eval.loss,
+            train_loss,
+        });
+        (eval_ns, asr)
+    }
+
+    /// The traced tail both round bodies share: closes the round span and
+    /// records its [`RoundMetrics`] — `m` carries the body's phase times,
+    /// fault count and pool figures; wall time, cost, group/client counts
+    /// and byte deltas are filled in here — plus the common counters.
+    /// Returns the registry for the body's own telemetry.
+    pub(crate) fn close_round<'o>(
+        &self,
+        ob: &'o TraceCollector,
+        start: u64,
+        mut m: RoundMetrics,
+        outcomes: &[GroupOutcome],
+        ledger: &CostLedger,
+        bytes_before: (u64, u64),
+    ) -> &'o MetricsRegistry {
+        let end = end_span(
+            ob,
+            SpanKind::Round,
+            start,
+            SpanAttrs::round(m.round as usize),
+        );
+        let ce_bytes = ledger.client_edge_bytes() - bytes_before.0;
+        let ec_bytes = ledger.edge_cloud_bytes() - bytes_before.1;
+        m.wall_ns = end.saturating_sub(start);
+        m.groups_trained = outcomes.len() as u64;
+        m.clients_trained = outcomes
+            .iter()
+            .map(|o| (o.members.len() * self.config.group_rounds) as u64)
+            .sum();
+        m.cost_total = ledger.total();
+        m.client_edge_bytes = Some(ce_bytes);
+        m.edge_cloud_bytes = Some(ec_bytes);
+        let (fault_events, clients_trained) = (m.fault_events, m.clients_trained);
+        ob.record_round(m);
+        let metrics = ob.metrics();
+        metrics.counter("rounds.total").inc();
+        metrics.counter("events.faults").add(fault_events);
+        metrics.counter("clients.trained").add(clients_trained);
+        metrics.counter("comm.bytes.client_edge").add(ce_bytes);
+        metrics.counter("comm.bytes.edge_cloud").add(ec_bytes);
+        metrics.gauge("cost.total").set(ledger.total());
+        metrics
+    }
+
+    /// One lockstep global round of Algorithm 1 (Lines 6–15): sample, train
+    /// the sampled groups, degrade gracefully, aggregate, charge costs, and
+    /// evaluate on the cadence. `groups` are the round's effective
+    /// (availability-filtered) groups and `probs` their Line-4
+    /// probabilities.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn round_once<S: LocalUpdate>(
+        &self,
+        t: usize,
+        groups: &[Group],
         probs: &[Scalar],
+        strategy: &S,
         params: &mut Params,
         ledger: &mut CostLedger,
         history: &mut RunHistory,
@@ -901,7 +987,6 @@ impl Trainer {
         assert_eq!(groups.len(), probs.len(), "one probability per group");
         let cfg = &self.config;
         let total_samples = self.data.total_samples();
-        let s = cfg.sampled_groups.clamp(1, groups.len());
         // Observation is read-only: timestamps and counter snapshots are
         // taken around the simulation sections but never feed back into
         // them, keeping traced runs bit-identical to untraced ones.
@@ -913,540 +998,291 @@ impl Trainer {
         // function of the sampled groups, never of timing); the snapshot
         // lets the round record report per-round deltas.
         let bytes_before = (ledger.client_edge_bytes(), ledger.edge_cloud_bytes());
-        {
-            let lr = cfg.lr.at(t);
-            // Sampling randomness is a pure function of (seed, t) so that a
-            // checkpointed-and-resumed session draws exactly the same
-            // groups as an uninterrupted one.
-            let mut rng = init::rng(cfg.seed ^ (t as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-            let sampled = sample_without_replacement(&mut rng, probs, s);
+        let lr = cfg.lr.at(t);
+        let sampled = self.sample_groups(t, probs);
+        let mut round_events: Vec<FaultEvent> = Vec::new();
+        let mut quorum_missed: Vec<usize> = Vec::new();
+        let active = self.reachable(t, groups, &sampled, &mut round_events);
 
-            // Edge outages: a dark edge server takes all of its sampled
-            // groups offline for this round. Empty groups (possible
-            // transiently under churn, before the next heal pass) sit out.
-            let mut round_events: Vec<FaultEvent> = Vec::new();
-            let mut quorum_missed: Vec<usize> = Vec::new();
-            let active: Vec<usize> = sampled
-                .iter()
-                .copied()
-                .filter(|&gi| !groups[gi].is_empty())
-                .filter(|&gi| match &self.faults {
-                    Some(fs) => {
-                        let edge = fs.edge_of_client[groups[gi][0]];
-                        let down = fs.injector.edge_down(edge, t);
-                        if down {
-                            round_events.push(FaultEvent::EdgeOutage {
-                                round: t,
-                                edge,
-                                group: gi,
-                            });
-                        }
-                        !down
+        // Lines 7–14: every (group × client) pair of this round trains
+        // on one shared work-stealing queue, client-granular.
+        let group_refs: Vec<(usize, &[usize])> = active
+            .iter()
+            .map(|&gi| (gi, groups[gi].as_slice()))
+            .collect();
+        let outcomes = self.train_groups(params, &group_refs, strategy, t, lr, None);
+
+        let train_end = obs.map(|o| {
+            end_span(
+                o,
+                SpanKind::Train,
+                round_start.unwrap(),
+                SpanAttrs::round(t),
+            )
+        });
+        let mut comm_ns = 0u64;
+        let mut comm_bytes = 0u64;
+        let (defense_sims, defense_norms) =
+            self.charge_round(&outcomes, strategy, params.len(), ledger);
+
+        // Graceful degradation: the survivor quorum, the non-finite
+        // gate, and edge→cloud upload retries decide which group
+        // models reach Line 15. Clean runs pass every outcome through.
+        let mut included: Vec<&GroupOutcome> = Vec::with_capacity(outcomes.len());
+        let mut round_attacks: Vec<AttackEvent> = Vec::new();
+        for o in &outcomes {
+            round_events.extend(o.events.iter().cloned());
+            round_attacks.extend(o.attacks.iter().cloned());
+            // Edge↔cloud bytes for this group's upload: first-try
+            // uploads move one payload; retried uploads move one per
+            // attempt (charged in the retry branch below, delivered or
+            // not — failed attempts still put bytes on the wire).
+            let mut upload_charged = false;
+            if let Some(fs) = &self.faults {
+                let required = (fs.policy.quorum_fraction * (cfg.group_rounds * o.samples) as f64)
+                    .ceil() as usize;
+                if o.upload_samples < required {
+                    round_events.push(FaultEvent::GroupSkipped {
+                        round: t,
+                        group: o.group,
+                        survivors: o.upload_samples,
+                        required,
+                    });
+                    quorum_missed.push(o.group);
+                    continue;
+                }
+                if fs.policy.reject_non_finite && !gfl_defense::is_update_finite(&o.params) {
+                    round_events.push(FaultEvent::CorruptGroupRejected {
+                        round: t,
+                        group: o.group,
+                    });
+                    continue;
+                }
+                let failures = fs
+                    .injector
+                    .upload_failures(t, o.group, fs.policy.max_retries);
+                if failures > 0 {
+                    let retry_start = obs.map(|ob| ob.now_ns());
+                    let payload = fs.comm.group_cloud_bytes(params.len());
+                    let retry = fs.comm.upload_with_retries(
+                        payload,
+                        failures,
+                        fs.policy.max_retries,
+                        fs.policy.backoff_base_s,
+                        fs.policy.max_backoff_s,
+                    );
+                    round_events.push(FaultEvent::UploadRetry {
+                        round: t,
+                        group: o.group,
+                        attempts: retry.attempts,
+                        extra_seconds: retry.seconds,
+                        extra_bytes: retry.bytes,
+                    });
+                    ledger.charge_edge_cloud_bytes(retry.bytes);
+                    upload_charged = true;
+                    comm_bytes += retry.bytes;
+                    let delivered = retry.delivered;
+                    if let Some(ob) = obs {
+                        let start = retry_start.unwrap();
+                        let attrs = SpanAttrs::group(t, o.group).with_bytes(retry.bytes);
+                        comm_ns +=
+                            end_span(ob, SpanKind::UploadRetry, start, attrs).saturating_sub(start);
                     }
-                    None => true,
-                })
-                .collect();
+                    if !delivered {
+                        round_events.push(FaultEvent::UploadLost {
+                            round: t,
+                            group: o.group,
+                        });
+                        continue;
+                    }
+                }
+            }
+            if !upload_charged {
+                ledger.charge_edge_cloud_bytes(self.comm_model().group_cloud_bytes(params.len()));
+            }
+            included.push(o);
+        }
 
-            // Lines 7–14: every (group × client) pair of this round trains
-            // on one shared work-stealing queue, client-granular.
-            let group_refs: Vec<(usize, &[usize])> = active
-                .iter()
-                .map(|&gi| (gi, groups[gi].as_slice()))
-                .collect();
-            let outcomes = self.train_groups(params, &group_refs, strategy, t, lr);
-
-            let train_end = obs.map(|o| {
-                let end = o.now_ns();
-                o.record_span_at(
-                    SpanKind::Train,
-                    round_start.unwrap(),
-                    end,
-                    SpanAttrs::round(t),
-                );
-                end
-            });
-            let mut comm_ns = 0u64;
-            let mut comm_bytes = 0u64;
-
-            // Charge Eq. 5 for every group that attempted the round. One
-            // pooled size buffer serves every group (and Line 15 below).
+        // Line 15: global aggregation — held (`x_{t+1} = x_t`, params
+        // stay finite) when no surviving update reached the cloud.
+        if included.iter().all(|o| o.uploads == 0) {
+            round_events.push(FaultEvent::RoundHeld { round: t });
+        } else {
             let mut sizes = self.member_pool.take();
-            let comm = self.comm_model();
-            let client_bytes = comm.client_bytes_per_round(
-                params.len(),
-                cfg.group_rounds,
-                strategy.upload_payload_factor(),
+            sizes.extend(included.iter().map(|o| o.samples));
+            let mut sampled_probs = self.param_pool.take();
+            sampled_probs.extend(included.iter().map(|o| probs[o.group]));
+            let mut weights = self.param_pool.take();
+            aggregation_weights_into(
+                cfg.weighting,
+                &sizes,
+                &sampled_probs,
+                total_samples,
+                &mut weights,
             );
-            for o in &outcomes {
-                sizes.clear();
-                sizes.extend(o.members.iter().map(|&c| self.data.client_size(c)));
-                ledger.charge_group(&sizes, cfg.group_rounds, cfg.local_rounds);
-                // Every member that attempted the round moved its downloads
-                // and uploads on the client↔edge link, whether or not the
-                // group's result later survives the cloud-side gates.
-                ledger.charge_client_edge_bytes(o.members.len() as u64 * client_bytes);
-            }
-            // Measured defense-filter work (FLAME-style cosine clustering)
-            // lands in the ledger alongside the emulated group ops, so a
-            // real defense shows up in the emulated round time.
-            let (defense_sims, defense_norms) = outcomes.iter().fold((0u64, 0u64), |acc, o| {
-                (
-                    acc.0 + o.defense.similarity_evals,
-                    acc.1 + o.defense.norm_passes,
-                )
-            });
-            if defense_sims > 0 || defense_norms > 0 {
-                ledger.charge_defense(defense_sims, defense_norms);
-            }
-            ledger.end_round();
-
-            // Graceful degradation: the survivor quorum, the non-finite
-            // gate, and edge→cloud upload retries decide which group
-            // models reach Line 15. Clean runs pass every outcome through.
-            let mut included: Vec<&GroupOutcome> = Vec::with_capacity(outcomes.len());
-            let mut round_attacks: Vec<AttackEvent> = Vec::new();
-            for o in &outcomes {
-                round_events.extend(o.events.iter().cloned());
-                round_attacks.extend(o.attacks.iter().cloned());
-                // Edge↔cloud bytes for this group's upload: first-try
-                // uploads move one payload; retried uploads move one per
-                // attempt (charged in the retry branch below, delivered or
-                // not — failed attempts still put bytes on the wire).
-                let mut upload_charged = false;
-                if let Some(fs) = &self.faults {
-                    let required = (fs.policy.quorum_fraction
-                        * (cfg.group_rounds * o.samples) as f64)
-                        .ceil() as usize;
-                    if o.upload_samples < required {
-                        round_events.push(FaultEvent::GroupSkipped {
-                            round: t,
-                            group: o.group,
-                            survivors: o.upload_samples,
-                            required,
-                        });
-                        quorum_missed.push(o.group);
-                        continue;
-                    }
-                    if fs.policy.reject_non_finite && !gfl_defense::is_update_finite(&o.params) {
-                        round_events.push(FaultEvent::CorruptGroupRejected {
-                            round: t,
-                            group: o.group,
-                        });
-                        continue;
-                    }
-                    let failures = fs
-                        .injector
-                        .upload_failures(t, o.group, fs.policy.max_retries);
-                    if failures > 0 {
-                        let retry_start = obs.map(|ob| ob.now_ns());
-                        let payload = fs.comm.group_cloud_bytes(params.len());
-                        let retry = fs.comm.upload_with_retries(
-                            payload,
-                            failures,
-                            fs.policy.max_retries,
-                            fs.policy.backoff_base_s,
-                            fs.policy.max_backoff_s,
-                        );
-                        round_events.push(FaultEvent::UploadRetry {
-                            round: t,
-                            group: o.group,
-                            attempts: retry.attempts,
-                            extra_seconds: retry.seconds,
-                            extra_bytes: retry.bytes,
-                        });
-                        ledger.charge_edge_cloud_bytes(retry.bytes);
-                        upload_charged = true;
-                        comm_bytes += retry.bytes;
-                        let delivered = retry.delivered;
-                        if let Some(ob) = obs {
-                            let start = retry_start.unwrap();
-                            let end = ob.now_ns();
-                            comm_ns += end.saturating_sub(start);
-                            ob.record_span_at(
-                                SpanKind::UploadRetry,
-                                start,
-                                end,
-                                SpanAttrs::group(t, o.group).with_bytes(retry.bytes),
-                            );
-                        }
-                        if !delivered {
-                            round_events.push(FaultEvent::UploadLost {
-                                round: t,
-                                group: o.group,
-                            });
-                            continue;
-                        }
-                    }
-                }
-                if !upload_charged {
-                    ledger.charge_edge_cloud_bytes(comm.group_cloud_bytes(params.len()));
-                }
-                included.push(o);
-            }
-
-            // Line 15: global aggregation — held (`x_{t+1} = x_t`, params
-            // stay finite) when no surviving update reached the cloud.
-            if included.iter().all(|o| o.uploads == 0) {
-                round_events.push(FaultEvent::RoundHeld { round: t });
-            } else {
-                sizes.clear();
-                sizes.extend(included.iter().map(|o| o.samples));
-                let mut sampled_probs = self.param_pool.take();
-                sampled_probs.extend(included.iter().map(|o| probs[o.group]));
-                let mut weights = self.param_pool.take();
-                aggregation_weights_into(
-                    cfg.weighting,
-                    &sizes,
-                    &sampled_probs,
-                    total_samples,
-                    &mut weights,
-                );
-                // The exact fill-then-axpy loop of `ops::weighted_sum_into`,
-                // inlined over `included` so no view vector is built.
-                params.fill(0.0);
-                for (o, &w) in included.iter().zip(weights.iter()) {
-                    ops::axpy(w, &o.params, params);
-                }
-                self.param_pool.put(sampled_probs);
-                self.param_pool.put(weights);
+            // The exact fill-then-axpy loop of `ops::weighted_sum_into`,
+            // inlined over `included` so no view vector is built.
+            params.fill(0.0);
+            for (o, &w) in included.iter().zip(weights.iter()) {
+                ops::axpy(w, &o.params, params);
             }
             self.member_pool.put(sizes);
+            self.param_pool.put(sampled_probs);
+            self.param_pool.put(weights);
+        }
 
-            let participants: Vec<usize> = included
-                .iter()
-                .flat_map(|o| o.members.iter().copied())
-                .collect();
-            strategy.end_global_round(&participants);
+        let participants: Vec<usize> = included
+            .iter()
+            .flat_map(|o| o.members.iter().copied())
+            .collect();
+        strategy.end_global_round(&participants);
 
-            // Aggregate phase = charge + degradation + Line 15, minus the
-            // upload-retry (comm) time carved out above, so the four phase
-            // durations stay disjoint.
-            let agg_end = obs.map(|ob| {
-                let end = ob.now_ns();
-                let start = train_end.unwrap();
-                let wall = end.saturating_sub(start);
+        // Aggregate phase = charge + degradation + Line 15, minus the
+        // upload-retry (comm) time carved out above, so the four phase
+        // durations stay disjoint.
+        let agg_end = obs.map(|ob| {
+            let end = ob.now_ns();
+            let start = train_end.unwrap();
+            let wall = end.saturating_sub(start);
+            ob.record_span_at(
+                SpanKind::Aggregate,
+                start,
+                start + wall.saturating_sub(comm_ns),
+                SpanAttrs::round(t),
+            );
+            if comm_ns > 0 {
                 ob.record_span_at(
-                    SpanKind::Aggregate,
+                    SpanKind::Comm,
                     start,
-                    start + wall.saturating_sub(comm_ns),
-                    SpanAttrs::round(t),
+                    start + comm_ns,
+                    SpanAttrs::round(t).with_bytes(comm_bytes),
                 );
-                if comm_ns > 0 {
-                    ob.record_span_at(
-                        SpanKind::Comm,
-                        start,
-                        start + comm_ns,
-                        SpanAttrs::round(t).with_bytes(comm_bytes),
-                    );
-                }
-                end
-            });
-
-            let train_loss = outcomes.iter().map(|o| o.train_loss).sum::<Scalar>()
-                / outcomes.len().max(1) as Scalar;
-
-            let fault_events = round_events.len() as u64;
-            history.record_faults(round_events);
-            let attack_summary = summarize_attacks(&round_attacks);
-            history.record_attacks(round_attacks);
-
-            let over_budget = cfg.cost_budget.is_some_and(|b| ledger.total() >= b);
-            let mut eval_ns = 0u64;
-            let mut asr: Option<AsrRecord> = None;
-            if t.is_multiple_of(cfg.eval_every) || last || over_budget {
-                let eval_start = obs.map(|ob| ob.now_ns());
-                let eval = self.evaluate(params);
-                // Attack-success rates, on the same cadence as accuracy:
-                // both eval sets carry the attacker's label, so plain
-                // accuracy on them *is* the success rate.
-                if let Some(adv) = &self.adversary {
-                    let rate = |d: &Dataset| {
-                        self.model
-                            .evaluate_pooled(params, d.features(), d.labels(), &self.eval_pool)
-                            .accuracy
-                    };
-                    let r = AsrRecord {
-                        round: t,
-                        trigger_asr: adv.trigger_eval.as_ref().map(&rate),
-                        flip_asr: adv.flip_eval.as_ref().map(&rate),
-                    };
-                    history.record_asr(r);
-                    asr = Some(r);
-                }
-                if let Some(ob) = obs {
-                    let start = eval_start.unwrap();
-                    let end = ob.now_ns();
-                    eval_ns = end.saturating_sub(start);
-                    ob.record_span_at(SpanKind::Eval, start, end, SpanAttrs::round(t));
-                }
-                history.push(RoundRecord {
-                    round: t,
-                    cost: ledger.total(),
-                    accuracy: eval.accuracy,
-                    loss: eval.loss,
-                    train_loss,
-                });
             }
+            end
+        });
 
-            if let Some(ob) = obs {
-                let start = round_start.unwrap();
-                let end = ob.now_ns();
-                ob.record_span_at(SpanKind::Round, start, end, SpanAttrs::round(t));
-                let train_ns = train_end.unwrap().saturating_sub(start);
-                let agg_wall = agg_end.unwrap().saturating_sub(train_end.unwrap());
-                let pool = gfl_parallel::stats::snapshot().since(pool_before.unwrap());
-                let allocs =
-                    gfl_obs::alloc::current_allocs().saturating_sub(allocs_before.unwrap());
-                let clients_trained: u64 = outcomes
-                    .iter()
-                    .map(|o| (o.members.len() * cfg.group_rounds) as u64)
-                    .sum();
-                let ce_bytes = ledger.client_edge_bytes() - bytes_before.0;
-                let ec_bytes = ledger.edge_cloud_bytes() - bytes_before.1;
-                ob.record_round(RoundMetrics {
-                    round: t as u64,
-                    wall_ns: end.saturating_sub(start),
+        let train_loss =
+            outcomes.iter().map(|o| o.train_loss).sum::<Scalar>() / outcomes.len().max(1) as Scalar;
+
+        let fault_events = round_events.len() as u64;
+        history.record_faults(round_events);
+        let attack_summary = summarize_attacks(&round_attacks);
+        history.record_attacks(round_attacks);
+
+        let over_budget = cfg.cost_budget.is_some_and(|b| ledger.total() >= b);
+        let (eval_ns, asr) = self.evaluate_round(
+            t,
+            last || over_budget,
+            params,
+            train_loss,
+            ledger.total(),
+            history,
+        );
+
+        if let Some(ob) = obs {
+            let start = round_start.unwrap();
+            let train_ns = train_end.unwrap().saturating_sub(start);
+            let aggregate_ns = agg_end
+                .unwrap()
+                .saturating_sub(train_end.unwrap())
+                .saturating_sub(comm_ns);
+            let pool = gfl_parallel::stats::snapshot().since(pool_before.unwrap());
+            let m = self.close_round(
+                ob,
+                start,
+                RoundMetrics {
                     train_ns,
-                    aggregate_ns: agg_wall.saturating_sub(comm_ns),
+                    aggregate_ns,
                     comm_ns,
                     eval_ns,
-                    groups_trained: outcomes.len() as u64,
-                    clients_trained,
                     fault_events,
-                    cost_total: ledger.total(),
                     pool_regions: pool.regions,
                     pool_claims: pool.claims,
                     pool_steals: pool.steals,
                     pool_utilization: pool.utilization(),
-                    allocs,
-                    client_edge_bytes: Some(ce_bytes),
-                    edge_cloud_bytes: Some(ec_bytes),
-                });
-                let m = ob.metrics();
-                m.counter("rounds.total").inc();
-                m.counter("events.faults").add(fault_events);
-                m.counter("clients.trained").add(clients_trained);
-                m.counter("comm.bytes.client_edge").add(ce_bytes);
-                m.counter("comm.bytes.edge_cloud").add(ec_bytes);
-                m.gauge("cost.total").set(ledger.total());
-                m.gauge("pool.utilization").set(pool.utilization());
-                // Attack/defense telemetry only exists on runs that opted
-                // in, so clean traces are byte-identical to pre-adversary
-                // ones.
-                if self.adversary.is_some() {
-                    m.counter("attacks.injected")
-                        .add(attack_summary.injected() as u64);
-                    m.counter("attacks.filtered.flame")
-                        .add(attack_summary.filtered_flame as u64);
-                    m.counter("attacks.filtered.non_finite")
-                        .add(attack_summary.filtered_non_finite as u64);
-                    if let Some(r) = asr {
-                        if let Some(v) = r.trigger_asr {
-                            m.gauge("asr.trigger").set(v as f64);
-                        }
-                        if let Some(v) = r.flip_asr {
-                            m.gauge("asr.flip").set(v as f64);
-                        }
+                    allocs: gfl_obs::alloc::current_allocs().saturating_sub(allocs_before.unwrap()),
+                    ..RoundMetrics::empty(t)
+                },
+                &outcomes,
+                ledger,
+                bytes_before,
+            );
+            m.gauge("pool.utilization").set(pool.utilization());
+            // Attack/defense telemetry only exists on runs that opted
+            // in, so clean traces are byte-identical to pre-adversary
+            // ones.
+            if self.adversary.is_some() {
+                m.counter("attacks.injected")
+                    .add(attack_summary.injected() as u64);
+                m.counter("attacks.filtered.flame")
+                    .add(attack_summary.filtered_flame as u64);
+                m.counter("attacks.filtered.non_finite")
+                    .add(attack_summary.filtered_non_finite as u64);
+                if let Some(r) = asr {
+                    if let Some(v) = r.trigger_asr {
+                        m.gauge("asr.trigger").set(v as f64);
+                    }
+                    if let Some(v) = r.flip_asr {
+                        m.gauge("asr.flip").set(v as f64);
                     }
                 }
-                if defense_sims > 0 || defense_norms > 0 {
-                    m.counter("defense.similarity_evals").add(defense_sims);
-                    m.counter("defense.norm_passes").add(defense_norms);
-                }
-                let ms = |ns: u64| ns as f64 / 1e6;
-                let buckets = &gfl_obs::metrics::PHASE_MS_BUCKETS;
-                m.histogram("round.train_ms", buckets).observe(ms(train_ns));
-                m.histogram("round.aggregate_ms", buckets)
-                    .observe(ms(agg_wall.saturating_sub(comm_ns)));
-                m.histogram("round.comm_ms", buckets).observe(ms(comm_ns));
-                m.histogram("round.eval_ms", buckets).observe(ms(eval_ns));
             }
+            if defense_sims > 0 || defense_norms > 0 {
+                m.counter("defense.similarity_evals").add(defense_sims);
+                m.counter("defense.norm_passes").add(defense_norms);
+            }
+            let ms = |ns: u64| ns as f64 / 1e6;
+            let buckets = &gfl_obs::metrics::PHASE_MS_BUCKETS;
+            m.histogram("round.train_ms", buckets).observe(ms(train_ns));
+            m.histogram("round.aggregate_ms", buckets)
+                .observe(ms(aggregate_ns));
+            m.histogram("round.comm_ms", buckets).observe(ms(comm_ns));
+            m.histogram("round.eval_ms", buckets).observe(ms(eval_ns));
+        }
 
-            // Hand the round's parameter and member buffers back to the
-            // pools so the next round's groups start from warm capacity.
-            for o in outcomes {
-                self.param_pool.put(o.params);
-                self.member_pool.put(o.members);
-            }
+        // Hand the round's parameter and member buffers back to the
+        // pools so the next round's groups start from warm capacity.
+        for o in outcomes {
+            self.param_pool.put(o.params);
+            self.member_pool.put(o.members);
+        }
 
-            RoundReport {
-                over_budget,
-                sampled,
-                quorum_missed,
-            }
+        RoundReport {
+            over_budget,
+            sampled,
+            quorum_missed,
         }
     }
 
-    /// Runs Algorithm 1 under **online membership**: forms the initial
-    /// partition over the clients present at round 0, then every round
-    /// applies the churn plan (departures, arrivals, flaps), lets the
-    /// group-health monitor heal the partition per the configured
-    /// [`RegroupPolicy`], and trains on whoever is available. Model state
-    /// carries across regroups; every membership transition lands in the
-    /// history's regroup log.
-    ///
-    /// Without [`Trainer::with_churn`] this still runs — a churn-free
-    /// self-healing session that only reacts to fault-driven degradation —
-    /// and with a clean plan it is bit-identical to [`Trainer::run`] on
-    /// [`form_groups_per_edge`] groups.
-    pub fn run_self_healing<S: LocalUpdate>(
+    /// A lockstep round in which nobody is reachable — every member of
+    /// every group departed or flapped out. The round is held outright
+    /// (`x_{t+1} = x_t`, nothing sampled or charged) and evaluated on the
+    /// cadence.
+    pub(crate) fn hold_round(
         &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        strategy: &S,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
-        let policy = self
-            .churn
-            .as_ref()
-            .map_or_else(RegroupPolicy::default, |c| c.policy.clone());
-        let plan = self.churn.as_ref().map(|c| &c.plan);
-        let mut membership = MembershipState::form(
-            algo,
-            topology,
-            self.data.label_matrix(),
-            plan,
-            policy,
-            self.config.seed,
-            sampling,
-            0,
-        )?;
-        let mut rng = init::rng(self.config.seed);
-        let mut params = self.model.init_params(&mut rng);
-        let mut ledger = self.ledger_for(strategy);
-        let mut history = RunHistory::default();
-        self.run_self_healing_resumable(
-            algo,
-            topology,
-            strategy,
-            sampling,
-            &mut membership,
-            &mut params,
-            &mut ledger,
-            &mut history,
-            0,
-            self.config.global_rounds,
-        )?;
-        Ok((history, params, membership))
-    }
-
-    /// Resumable core of the self-healing loop: runs `rounds` global
-    /// rounds from `start_round`, mutating the membership state, model,
-    /// ledger, and history in place. Checkpointing all five reproduces
-    /// the uninterrupted trajectory bit-for-bit — membership transitions
-    /// are pure functions of `(plan, round)` and repair is deterministic,
-    /// so a resumed session replays the same regroups and draws.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_self_healing_resumable<S: LocalUpdate>(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        strategy: &S,
-        sampling: SamplingStrategy,
-        membership: &mut MembershipState,
-        params: &mut Params,
+        t: usize,
+        last: bool,
+        params: &[Scalar],
         ledger: &mut CostLedger,
         history: &mut RunHistory,
-        start_round: usize,
-        rounds: usize,
-    ) -> Result<(), PartitionError> {
-        let labels = self.data.label_matrix();
-        let plan = self.churn.as_ref().map(|c| &c.plan);
+    ) {
         let obs = self.obs.as_deref();
-        history.reserve_rounds(rounds.div_ceil(self.config.eval_every) + 1);
-        for t in start_round..start_round + rounds {
-            let regroup_start = obs.map(|ob| ob.now_ns());
-            let mut events = Vec::new();
-            if let Some(plan) = plan {
-                events.extend(membership.apply_churn(plan, t, labels, topology));
-            }
-            events.extend(membership.heal(
-                t,
-                labels,
-                algo,
-                topology,
-                self.config.seed,
-                sampling,
-            )?);
-            if let Some(ob) = obs {
-                ob.record_span(
-                    SpanKind::Regroup,
-                    regroup_start.unwrap(),
-                    SpanAttrs::round(t),
-                );
-                ob.metrics()
-                    .counter("events.regroups")
-                    .add(events.len() as u64);
-            }
-            history.record_regroups(events);
-            // CoVs shift with membership, so a healing policy refreshes
-            // sampling probabilities every round; a frozen policy keeps
-            // the formation-time values.
-            if membership.policy.enabled {
-                membership.refresh_probs(labels, sampling);
-            }
-            // Flapping clients sit out the round without leaving their
-            // group; the round trains each group's available members.
-            let effective: Vec<Group> = membership
-                .groups
-                .iter()
-                .map(|g| {
-                    g.iter()
-                        .copied()
-                        .filter(|&c| plan.is_none_or(|p| p.available(c, t)))
-                        .collect()
-                })
-                .collect();
-            if effective.iter().all(|g: &Group| g.is_empty()) {
-                // Nobody is reachable: hold the round outright.
-                let held_start = obs.map(|ob| ob.now_ns());
-                history.record_fault(FaultEvent::RoundHeld { round: t });
-                ledger.end_round();
-                let last = t + 1 == start_round + rounds;
-                let mut eval_ns = 0u64;
-                if t.is_multiple_of(self.config.eval_every) || last {
-                    let eval_start = obs.map(|ob| ob.now_ns());
-                    let eval = self.evaluate(params);
-                    if let Some(ob) = obs {
-                        let start = eval_start.unwrap();
-                        let end = ob.now_ns();
-                        eval_ns = end.saturating_sub(start);
-                        ob.record_span_at(SpanKind::Eval, start, end, SpanAttrs::round(t));
-                    }
-                    history.push(RoundRecord {
-                        round: t,
-                        cost: ledger.total(),
-                        accuracy: eval.accuracy,
-                        loss: eval.loss,
-                        train_loss: 0.0,
-                    });
-                }
-                if let Some(ob) = obs {
-                    let start = held_start.unwrap();
-                    let end = ob.now_ns();
-                    ob.record_span_at(SpanKind::Round, start, end, SpanAttrs::round(t));
-                    let mut m = RoundMetrics::empty(t);
-                    m.wall_ns = end.saturating_sub(start);
-                    m.eval_ns = eval_ns;
-                    m.fault_events = 1;
-                    m.cost_total = ledger.total();
-                    ob.record_round(m);
-                    ob.metrics().counter("rounds.total").inc();
-                    ob.metrics().counter("events.faults").inc();
-                }
-                continue;
-            }
-            let probs = membership.probs.clone();
-            let last = t + 1 == start_round + rounds;
-            let report = self.round_once(
-                t, &effective, strategy, &probs, params, ledger, history, last,
-            );
-            membership.observe_round(&report.sampled, &report.quorum_missed);
-            if report.over_budget {
-                break;
-            }
+        let held_start = obs.map(|ob| ob.now_ns());
+        history.record_fault(FaultEvent::RoundHeld { round: t });
+        ledger.end_round();
+        let (eval_ns, _) = self.evaluate_round(t, last, params, 0.0, ledger.total(), history);
+        if let Some(ob) = obs {
+            let start = held_start.unwrap();
+            let end = end_span(ob, SpanKind::Round, start, SpanAttrs::round(t));
+            let mut m = RoundMetrics::empty(t);
+            m.wall_ns = end.saturating_sub(start);
+            m.eval_ns = eval_ns;
+            m.fault_events = 1;
+            m.cost_total = ledger.total();
+            ob.record_round(m);
+            ob.metrics().counter("rounds.total").inc();
+            ob.metrics().counter("events.faults").inc();
         }
-        Ok(())
     }
 
     /// Trains one group for `K` group rounds starting from `global` (Lines
@@ -1460,26 +1296,15 @@ impl Trainer {
         t: usize,
         lr: Scalar,
     ) -> GroupOutcomePublic {
-        let o = self.train_group_impl(global, group, strategy, t, lr, 0);
+        let o = self
+            .train_groups(global, &[(0, group)], strategy, t, lr, None)
+            .pop()
+            .expect("one group in, one outcome out");
         GroupOutcomePublic {
             params: o.params,
             samples: o.samples,
             train_loss: o.train_loss,
         }
-    }
-
-    fn train_group_impl<S: LocalUpdate>(
-        &self,
-        global: &[Scalar],
-        group: &[usize],
-        strategy: &S,
-        t: usize,
-        lr: Scalar,
-        gi: usize,
-    ) -> GroupOutcome {
-        self.train_groups(global, &[(gi, group)], strategy, t, lr)
-            .pop()
-            .expect("one group in, one outcome out")
     }
 
     /// Straggler deadline for a group: `deadline_factor ×` the slowest
@@ -1512,23 +1337,13 @@ impl Trainer {
     /// [`Slot`], and slots are reduced sequentially in member order, so the
     /// result is bit-identical to the sequential engine for any thread
     /// count.
-    fn train_groups<S: LocalUpdate>(
-        &self,
-        global: &[Scalar],
-        groups: &[(usize, &[usize])],
-        strategy: &S,
-        t: usize,
-        lr: Scalar,
-    ) -> Vec<GroupOutcome> {
-        self.train_groups_with_cuts(global, groups, strategy, t, lr, None)
-    }
-
-    /// [`Trainer::train_groups`] with optional precomputed time-domain
-    /// straggler cuts (one [`GroupCuts`] per group, aligned with `groups`).
-    /// When cuts are supplied the lockstep in-unit deadline estimate is
-    /// disabled — the semi-async scheduler has already decided, in emulated
-    /// time, exactly which reports missed each group round's close.
-    pub(crate) fn train_groups_with_cuts<S: LocalUpdate>(
+    ///
+    /// The semi-async runtime passes precomputed time-domain straggler
+    /// `cuts` (one [`GroupCuts`] per group, aligned with `groups`); they
+    /// replace the lockstep in-unit deadline estimate, since the scheduler
+    /// has already decided, in emulated time, exactly which reports missed
+    /// each group round's close.
+    pub(crate) fn train_groups<S: LocalUpdate>(
         &self,
         global: &[Scalar],
         groups: &[(usize, &[usize])],
@@ -2116,8 +1931,10 @@ pub struct GroupOutcomePublic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{RunSpec, Runtime};
     use crate::grouping::{CovGrouping, RandomGrouping};
     use crate::local::FedAvg;
+    use crate::sampling::SamplingStrategy;
     use gfl_data::{PartitionSpec, SyntheticSpec};
 
     fn tiny_world(seed: u64) -> (Trainer, Vec<Group>) {
@@ -2142,7 +1959,9 @@ mod tests {
     #[test]
     fn run_produces_monotone_cost_history() {
         let (trainer, groups) = tiny_world(1);
-        let h = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let h = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
         assert!(!h.is_empty());
         let costs: Vec<f64> = h.records().iter().map(|r| r.cost).collect();
         for w in costs.windows(2) {
@@ -2164,7 +1983,9 @@ mod tests {
             trainer.partition().clone(),
             trainer.test.clone(),
         );
-        let h = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let h = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
         let first = h.first_record().expect("eval on cadence").accuracy;
         let best = h.best_accuracy();
         assert!(
@@ -2176,8 +1997,12 @@ mod tests {
     #[test]
     fn run_is_deterministic() {
         let (trainer, groups) = tiny_world(3);
-        let a = trainer.run(&groups, &FedAvg, SamplingStrategy::SRCov);
-        let b = trainer.run(&groups, &FedAvg, SamplingStrategy::SRCov);
+        let a = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::SRCov)
+            .0;
+        let b = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::SRCov)
+            .0;
         assert_eq!(a.records().len(), b.records().len());
         for (x, y) in a.records().iter().zip(b.records()) {
             assert_eq!(x.accuracy, y.accuracy);
@@ -2188,7 +2013,9 @@ mod tests {
     #[test]
     fn secure_aggregation_matches_plain_aggregation() {
         let (trainer, groups) = tiny_world(4);
-        let plain = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+        let plain = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+            .0;
         let mut cfg = trainer.config.clone();
         cfg.secure_aggregation = true;
         let secure_trainer = Trainer::new(
@@ -2198,7 +2025,9 @@ mod tests {
             trainer.partition().clone(),
             trainer.test.clone(),
         );
-        let secure = secure_trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+        let secure = secure_trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+            .0;
         // Same trajectory up to f32 mask-cancellation rounding.
         for (p, s) in plain.records().iter().zip(secure.records()) {
             assert!(
@@ -2224,7 +2053,9 @@ mod tests {
             trainer.partition().clone(),
             trainer.test.clone(),
         );
-        let h = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+        let h = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+            .0;
         let last = h.last_record().expect("eval on cadence");
         assert!(last.round < 49, "budget should stop before round 50");
     }
@@ -2284,7 +2115,9 @@ mod tests {
         )
         .unwrap()
         .with_observer(std::sync::Arc::clone(&obs));
-        let h = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let h = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
         let trace = obs.finish(gfl_parallel::default_parallelism());
         let rounds = trainer.config.global_rounds as u64;
         assert_eq!(trace.rounds.len() as u64, rounds);
@@ -2357,13 +2190,18 @@ mod tests {
         );
         let (h_static, p_static) =
             trainer.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
-        let (h_heal, p_heal, membership) = trainer
-            .run_self_healing(&algo, &topo, &FedAvg, SamplingStrategy::ESRCov)
+        let spec = RunSpec::new(Runtime::Lockstep, SamplingStrategy::ESRCov).healing(&algo, &topo);
+        let membership = trainer
+            .form_membership(&algo, &topo, spec.sampling)
             .unwrap();
-        assert_eq!(membership.groups, groups);
-        assert_eq!(p_static, p_heal);
-        assert_eq!(h_static, h_heal);
-        assert!(h_heal.regroup_events().is_empty());
+        let mut heal = trainer.start(&FedAvg, membership);
+        trainer
+            .advance(&spec, &mut heal, &FedAvg, trainer.config.global_rounds)
+            .unwrap();
+        assert_eq!(heal.membership.groups, groups);
+        assert_eq!(p_static, heal.params);
+        assert_eq!(h_static, heal.history);
+        assert!(heal.history.regroup_events().is_empty());
     }
 
     #[test]
@@ -2411,7 +2249,9 @@ mod tests {
             byzantine: 50,
             select: 50,
         });
-        let h = t.run(&groups, &FedAvg, SamplingStrategy::Random);
+        let h = t
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+            .0;
         assert!(!h.is_empty());
     }
 
@@ -2443,7 +2283,9 @@ mod tests {
             trainer.partition().clone(),
             trainer.test.clone(),
         );
-        let h = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+        let h = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+            .0;
         assert!(!h.is_empty());
     }
 }

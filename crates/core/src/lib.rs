@@ -14,7 +14,9 @@
 //!    unbiased/stabilized aggregation corrections (Eq. 4, Eq. 35).
 //! 3. Every global round, sampled groups run `K` group rounds of `E` local
 //!    SGD epochs and aggregate hierarchically — [`engine`] implements
-//!    Algorithm 1, charging emulated cost per Eq. 5 through `gfl-sim`.
+//!    Algorithm 1, charging emulated cost per Eq. 5 through `gfl-sim`;
+//!    [`driver`] runs its rounds on either runtime, over fixed or healing
+//!    groups, and resumes them from a [`checkpoint`].
 //!
 //! [`cov`] is the shared grouping criterion (Eq. 27), [`theory`] evaluates
 //! the constants of the convergence theorem (Theorem 1), and [`history`]
@@ -38,12 +40,13 @@
 //! let config = GroupFelConfig::tiny();
 //! let model = gfl_nn::zoo::tiny(4, 3);
 //! let trainer = Trainer::new(config, model, train, part, test);
-//! let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+//! let (history, _params) = trainer.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
 //! assert!(history.records().len() > 0);
 //! ```
 
 pub mod checkpoint;
 pub mod cov;
+pub mod driver;
 pub mod engine;
 pub mod grouping;
 pub mod history;
@@ -59,6 +62,7 @@ pub type Group = Vec<usize>;
 /// Convenient re-exports of the full pipeline.
 pub mod prelude {
     pub use crate::cov::group_cov;
+    pub use crate::driver::{Regroup, RunSpec, RunState, Runtime};
     pub use crate::engine::{
         form_groups_per_edge, ConfigError, GroupFelConfig, RobustAggRule, Trainer,
     };

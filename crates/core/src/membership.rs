@@ -346,6 +346,26 @@ impl MembershipState {
         Ok(state)
     }
 
+    /// A fixed partition: the given `groups` under
+    /// [`RegroupPolicy::frozen`], every grouped client active, and
+    /// probabilities from `sampling`. Run without a churn plan, it is a
+    /// static run over `groups`: no transition ever fires.
+    pub fn frozen(groups: Vec<Group>, labels: &LabelMatrix, sampling: SamplingStrategy) -> Self {
+        let mut active = vec![false; labels.num_clients()];
+        for &c in groups.iter().flatten() {
+            active[c] = true;
+        }
+        let covs: Vec<Scalar> = groups.iter().map(|g| group_cov(labels, g)).collect();
+        Self {
+            groups,
+            active,
+            health: covs.iter().map(|&cov| GroupHealth::fresh(cov)).collect(),
+            probs: sampling.probabilities(&covs),
+            last_heal: 0,
+            policy: RegroupPolicy::frozen(),
+        }
+    }
+
     /// Recomputes sampling probabilities from the current groups' CoVs.
     pub fn refresh_probs(&mut self, labels: &LabelMatrix, sampling: SamplingStrategy) {
         let covs: Vec<Scalar> = self.groups.iter().map(|g| group_cov(labels, g)).collect();
@@ -715,6 +735,33 @@ mod tests {
         assert_eq!(state.groups, expected);
         assert!(state.active.iter().all(|&a| a));
         assert_eq!(state.probs.len(), state.groups.len());
+    }
+
+    #[test]
+    fn frozen_membership_is_the_formation_it_was_given() {
+        // A frozen state over a formation equals `form` on the same
+        // clients, save its policy, and healing never touches it.
+        let (labels, topo) = world(1);
+        let groups = crate::engine::form_groups_per_edge(&algo(), &topo, &labels, 1);
+        let mut frozen = MembershipState::frozen(groups, &labels, SamplingStrategy::ESRCov);
+        let formed = MembershipState::form(
+            &algo(),
+            &topo,
+            &labels,
+            None,
+            RegroupPolicy::frozen(),
+            1,
+            SamplingStrategy::ESRCov,
+            0,
+        )
+        .unwrap();
+        assert_eq!(frozen, formed);
+        let before = frozen.clone();
+        let events = frozen
+            .heal(9, &labels, &algo(), &topo, 1, SamplingStrategy::ESRCov)
+            .unwrap();
+        assert!(events.is_empty());
+        assert_eq!(frozen, before);
     }
 
     #[test]

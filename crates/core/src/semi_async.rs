@@ -1,10 +1,10 @@
 //! Deterministic semi-async runtime: quorum-or-deadline rounds over an
 //! event-driven cost ledger.
 //!
-//! The lockstep engine ([`Trainer::run_resumable`]) closes every round at
-//! a global barrier: the slowest sampled client paces the whole fleet.
-//! This module replaces the barrier with events on an **emulated clock**
-//! (never the wall clock, never an RNG):
+//! The lockstep round body closes every round at a global barrier: the
+//! slowest sampled client paces the whole fleet. This module replaces the
+//! barrier with events on an **emulated clock** (never the wall clock,
+//! never an RNG):
 //!
 //! * every client report, group-round close, and edge→cloud arrival is a
 //!   timed event, priced by the same [`gfl_sim::cost`] / [`gfl_sim::comm`]
@@ -32,28 +32,30 @@
 //! deadlines, clean fault plan — reproduces the lockstep [`RunHistory`]
 //! bit for bit (asserted by `tests/semi_async.rs`).
 //!
+//! A run selects this runtime with [`crate::driver::Runtime::SemiAsync`];
+//! [`Trainer::advance`] runs the membership prologue and then this
+//! module's round body each round, and [`SchedulerState`] plus
+//! [`AsyncReport`] travel in the [`crate::driver::RunState`] a checkpoint
+//! stores.
+//!
 //! Two knowing simplifications, both documented in `docs/ASYNC.md`: client
 //! dropout (`dropout_prob`) drops the *payload*, not the timing — a
 //! dropped client still counts toward the quorum clock; and a membership
-//! transition under [`Trainer::run_semi_async_self_healing`] resets
-//! in-flight edge state (busy map + parked stale uploads), since both are
-//! keyed by group indices the transition invalidates.
+//! transition resets in-flight edge state (busy map + parked stale
+//! uploads), since both are keyed by group indices the transition
+//! invalidates.
 
 use gfl_faults::{FaultEvent, FaultInjector, FaultPlan, FaultPolicy};
 use gfl_nn::Params;
 use gfl_obs::{RoundMetrics, SpanAttrs, SpanKind};
-use gfl_sim::{CommModel, CostLedger, CostModel, EventId, EventQueue, RetryOutcome, Topology};
-use gfl_tensor::init;
+use gfl_sim::{CommModel, CostLedger, CostModel, EventId, EventQueue, RetryOutcome};
 use gfl_tensor::{ops, Scalar};
 use serde::{Deserialize, Serialize};
 
-use crate::cov::group_cov;
-use crate::engine::{GroupCuts, GroupOutcome, Trainer};
-use crate::grouping::{GroupingAlgorithm, PartitionError};
-use crate::history::{AsrRecord, RoundRecord, RunHistory, TimedEvent};
+use crate::engine::{end_span, GroupCuts, GroupOutcome, Trainer};
+use crate::history::{RunHistory, TimedEvent};
 use crate::local::LocalUpdate;
-use crate::membership::{MembershipState, RegroupPolicy};
-use crate::sampling::{aggregation_weights, sample_without_replacement, SamplingStrategy};
+use crate::sampling::aggregation_weights;
 use crate::Group;
 
 /// What the cloud does with an edge result that arrives after its round
@@ -156,6 +158,15 @@ impl SchedulerState {
             None => self.busy.push((group, until_s)),
         }
     }
+
+    /// Drops in-flight edge state after a membership transition: busy
+    /// entries and parked stale uploads are keyed by group indices that
+    /// may now name a different member set, so results in flight are
+    /// dropped rather than misattributed. The clock keeps running.
+    pub(crate) fn reset_in_flight(&mut self) {
+        self.busy.clear();
+        self.pending.clear();
+    }
 }
 
 /// Per-round emulated-clock accounting of a semi-async run. This is the
@@ -224,7 +235,7 @@ impl AsyncReport {
 /// The timing models of the run: the fault oracle plus the cost/comm
 /// tables, either borrowed from the trainer's [`Trainer::with_faults`]
 /// state or defaulted to the degenerate lockstep limit.
-struct TimingCtx {
+pub(crate) struct TimingCtx {
     injector: FaultInjector,
     policy: FaultPolicy,
     comm: CommModel,
@@ -250,7 +261,7 @@ struct GroupTimeline {
 }
 
 impl Trainer {
-    fn timing_ctx(&self) -> TimingCtx {
+    pub(crate) fn timing_ctx(&self) -> TimingCtx {
         match &self.faults {
             Some(fs) => TimingCtx {
                 injector: fs.injector.clone(),
@@ -384,221 +395,17 @@ impl Trainer {
         }
     }
 
-    /// Runs Algorithm 1 under the semi-async runtime. Mirrors
-    /// [`Trainer::run_returning_params`], additionally returning the
-    /// emulated-time trajectory.
-    pub fn run_semi_async<S: LocalUpdate>(
-        &self,
-        groups: &[Group],
-        strategy: &S,
-        sampling: SamplingStrategy,
-        acfg: &AsyncConfig,
-    ) -> (RunHistory, Params, AsyncReport) {
-        let (history, params, report, _) =
-            self.run_semi_async_with_scheduler(groups, strategy, sampling, acfg);
-        (history, params, report)
-    }
-
-    /// Like [`Trainer::run_semi_async`], additionally returning the final
-    /// [`SchedulerState`] so callers can carry it through a checkpoint
-    /// ([`crate::checkpoint::Checkpoint::with_scheduler`]).
-    pub fn run_semi_async_with_scheduler<S: LocalUpdate>(
-        &self,
-        groups: &[Group],
-        strategy: &S,
-        sampling: SamplingStrategy,
-        acfg: &AsyncConfig,
-    ) -> (RunHistory, Params, AsyncReport, SchedulerState) {
-        let covs: Vec<Scalar> = groups
-            .iter()
-            .map(|g| group_cov(self.data.label_matrix(), g))
-            .collect();
-        let probs = sampling.probabilities(&covs);
-        let mut rng = init::rng(self.config.seed);
-        let mut params = self.model.init_params(&mut rng);
-        let mut ledger = self.ledger_for(strategy);
-        let mut history = RunHistory::default();
-        let mut sched = SchedulerState::new();
-        let mut report = AsyncReport::default();
-        self.run_semi_async_resumable(
-            groups,
-            strategy,
-            &probs,
-            acfg,
-            &mut params,
-            &mut ledger,
-            &mut history,
-            &mut sched,
-            &mut report,
-            0,
-            self.config.global_rounds,
-        );
-        (history, params, report, sched)
-    }
-
-    /// Runs the semi-async runtime under **online membership**: forms the
-    /// initial partition over the clients present at round 0, then every
-    /// round applies the churn plan (departures, arrivals, flaps), lets
-    /// the group-health monitor heal the partition per the configured
-    /// [`RegroupPolicy`], and dispatches whoever is available to the
-    /// quorum-or-deadline scheduler. This closes the gap the module doc
-    /// used to flag: churned runs now have a semi-async entry point.
-    ///
-    /// Two semantics are specific to the semi-async flavor, both
-    /// documented in `docs/ASYNC.md`:
-    ///
-    /// * any membership transition **resets in-flight edge state**. The
-    ///   busy map and parked stale uploads are keyed by group index, which
-    ///   a heal renumbers and a departure invalidates, so results in
-    ///   flight at a transition are dropped rather than misattributed to
-    ///   whatever group inherits the index.
-    /// * group health sees **no quorum-miss signal**. The runtime's
-    ///   straggler cuts live on the emulated clock, not the lockstep
-    ///   quorum path that feeds [`MembershipState::observe_round`], so
-    ///   `RegroupPolicy::quorum_misses` never fires here — healing reacts
-    ///   to size floors, CoV drift, and emptiness only.
-    ///
-    /// Without [`Trainer::with_churn`] no membership event ever fires, so
-    /// the run is bit-identical to [`Trainer::run_semi_async`] on the
-    /// formation-time groups (asserted by `tests/semi_async.rs`).
-    pub fn run_semi_async_self_healing<S: LocalUpdate>(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        strategy: &S,
-        sampling: SamplingStrategy,
-        acfg: &AsyncConfig,
-    ) -> Result<(RunHistory, Params, AsyncReport, MembershipState), PartitionError> {
-        let policy = self
-            .churn
-            .as_ref()
-            .map_or_else(RegroupPolicy::default, |c| c.policy.clone());
-        let plan = self.churn.as_ref().map(|c| &c.plan);
-        let labels = self.data.label_matrix();
-        let mut membership = MembershipState::form(
-            algo,
-            topology,
-            labels,
-            plan,
-            policy,
-            self.config.seed,
-            sampling,
-            0,
-        )?;
-        let mut rng = init::rng(self.config.seed);
-        let mut params = self.model.init_params(&mut rng);
-        let mut ledger = self.ledger_for(strategy);
-        let mut history = RunHistory::default();
-        let mut sched = SchedulerState::new();
-        let mut report = AsyncReport::default();
-        let tc = self.timing_ctx();
-        for t in 0..self.config.global_rounds {
-            let mut events = Vec::new();
-            if let Some(p) = plan {
-                events.extend(membership.apply_churn(p, t, labels, topology));
-            }
-            events.extend(membership.heal(
-                t,
-                labels,
-                algo,
-                topology,
-                self.config.seed,
-                sampling,
-            )?);
-            if !events.is_empty() {
-                // The partition changed under the scheduler: busy-until
-                // entries and parked stale uploads reference group indices
-                // that may now mean a different member set. Start clean.
-                sched.busy.clear();
-                sched.pending.clear();
-            }
-            history.record_regroups(events);
-            if membership.policy.enabled {
-                membership.refresh_probs(labels, sampling);
-            }
-            // Flapping clients sit out the round without leaving their
-            // group; empty effective groups are dispatched to nobody and
-            // the round-held path inside `semi_async_round` covers the
-            // all-dark case.
-            let effective: Vec<Group> = membership
-                .groups
-                .iter()
-                .map(|g| {
-                    g.iter()
-                        .copied()
-                        .filter(|&c| plan.is_none_or(|p| p.available(c, t)))
-                        .collect()
-                })
-                .collect();
-            let probs = membership.probs.clone();
-            let last = t + 1 == self.config.global_rounds;
-            let over_budget = self.semi_async_round(
-                t,
-                &effective,
-                strategy,
-                &probs,
-                acfg,
-                &tc,
-                &mut params,
-                &mut ledger,
-                &mut history,
-                &mut sched,
-                &mut report,
-                last,
-            );
-            if over_budget {
-                break;
-            }
-        }
-        Ok((history, params, report, membership))
-    }
-
-    /// Resumable core of the semi-async runtime: runs `rounds` global
-    /// rounds from `start_round`, mutating every piece of state in place.
-    /// Checkpointing `(params, history, ledger-total, sched)` after any
-    /// round and resuming reproduces the uninterrupted run bit for bit —
-    /// the scheduler's clock, busy map, and pending stale uploads are the
-    /// *only* cross-round state beyond the lockstep engine's.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_semi_async_resumable<S: LocalUpdate>(
-        &self,
-        groups: &[Group],
-        strategy: &S,
-        probs: &[Scalar],
-        acfg: &AsyncConfig,
-        params: &mut Params,
-        ledger: &mut CostLedger,
-        history: &mut RunHistory,
-        sched: &mut SchedulerState,
-        report: &mut AsyncReport,
-        start_round: usize,
-        rounds: usize,
-    ) {
-        assert_eq!(groups.len(), probs.len(), "one probability per group");
-        assert!(!groups.is_empty(), "need at least one group");
-        let tc = self.timing_ctx();
-        for t in start_round..start_round + rounds {
-            let last = t + 1 == start_round + rounds;
-            let over_budget = self.semi_async_round(
-                t, groups, strategy, probs, acfg, &tc, params, ledger, history, sched, report, last,
-            );
-            if over_budget {
-                break;
-            }
-        }
-    }
-
     /// One semi-async global round: sample, resolve timings, train with
     /// the precomputed cuts, charge Eq. 5, admit arrivals at the cloud
     /// close, aggregate (fresh + matured stale), and evaluate on the
     /// lockstep cadence. Returns `true` when the cost budget is exhausted.
     #[allow(clippy::too_many_arguments)]
-    fn semi_async_round<S: LocalUpdate>(
+    pub(crate) fn semi_async_round<S: LocalUpdate>(
         &self,
         t: usize,
         groups: &[Group],
-        strategy: &S,
         probs: &[Scalar],
+        strategy: &S,
         acfg: &AsyncConfig,
         tc: &TimingCtx,
         params: &mut Params,
@@ -610,55 +417,33 @@ impl Trainer {
     ) -> bool {
         let cfg = &self.config;
         let total_samples = self.data.total_samples();
-        let s = cfg.sampled_groups.clamp(1, groups.len());
         let obs = self.obs.as_deref();
         let round_start = obs.map(|o| o.now_ns());
         let bytes_before = (ledger.client_edge_bytes(), ledger.edge_cloud_bytes());
         let dispatch = sched.clock_s;
         let lr = cfg.lr.at(t);
-        // Identical sampling stream to the lockstep engine: a pure
-        // function of (seed, t), so the degenerate limit draws the same
-        // groups and a resumed session replays the same schedule.
-        let mut rng = init::rng(cfg.seed ^ (t as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-        let sampled = sample_without_replacement(&mut rng, probs, s);
+        // The lockstep engine's sampling stream, so the degenerate limit
+        // draws the same groups.
+        let sampled = self.sample_groups(t, probs);
 
         let mut round_events: Vec<FaultEvent> = Vec::new();
         let mut timed: Vec<TimedEvent> = Vec::new();
         let mut busy_skipped = 0usize;
-        let active: Vec<usize> = sampled
-            .iter()
-            .copied()
-            .filter(|&gi| !groups[gi].is_empty())
-            .filter(|&gi| match &self.faults {
-                Some(fs) => {
-                    let edge = fs.edge_of_client[groups[gi][0]];
-                    let down = fs.injector.edge_down(edge, t);
-                    if down {
-                        round_events.push(FaultEvent::EdgeOutage {
-                            round: t,
-                            edge,
-                            group: gi,
-                        });
-                    }
-                    !down
-                }
-                None => true,
-            })
-            .filter(|&gi| {
-                let busy_until = sched.busy_until(gi);
-                if busy_until > dispatch {
-                    timed.push(TimedEvent::GroupBusySkipped {
-                        round: t,
-                        group: gi,
-                        busy_until_s: busy_until,
-                    });
-                    busy_skipped += 1;
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
+        let mut active = self.reachable(t, groups, &sampled, &mut round_events);
+        active.retain(|&gi| {
+            let busy_until = sched.busy_until(gi);
+            if busy_until > dispatch {
+                timed.push(TimedEvent::GroupBusySkipped {
+                    round: t,
+                    group: gi,
+                    busy_until_s: busy_until,
+                });
+                busy_skipped += 1;
+                false
+            } else {
+                true
+            }
+        });
 
         // Timing pass: resolve every dispatched group in emulated time.
         let timelines: Vec<GroupTimeline> = active
@@ -688,47 +473,17 @@ impl Trainer {
             .iter()
             .map(|&gi| (gi, groups[gi].as_slice()))
             .collect();
-        let outcomes =
-            self.train_groups_with_cuts(params, &group_refs, strategy, t, lr, Some(&cuts));
+        let outcomes = self.train_groups(params, &group_refs, strategy, t, lr, Some(&cuts));
         let train_end = obs.map(|o| {
-            let end = o.now_ns();
-            o.record_span_at(
+            end_span(
+                o,
                 SpanKind::Train,
                 round_start.unwrap(),
-                end,
                 SpanAttrs::round(t),
-            );
-            end
-        });
-
-        // Charge Eq. 5 for every group that attempted the round — stale
-        // or not, the work was done and the ledger is effort, not luck.
-        // Same rule for client↔edge bytes: every member moved its
-        // downloads and uploads whether or not the result beats the close.
-        let client_bytes = self.comm_model().client_bytes_per_round(
-            params.len(),
-            cfg.group_rounds,
-            strategy.upload_payload_factor(),
-        );
-        for o in &outcomes {
-            let sizes: Vec<usize> = o
-                .members
-                .iter()
-                .map(|&c| self.data.client_size(c))
-                .collect();
-            ledger.charge_group(&sizes, cfg.group_rounds, cfg.local_rounds);
-            ledger.charge_client_edge_bytes(o.members.len() as u64 * client_bytes);
-        }
-        let (defense_sims, defense_norms) = outcomes.iter().fold((0u64, 0u64), |acc, o| {
-            (
-                acc.0 + o.defense.similarity_evals,
-                acc.1 + o.defense.norm_passes,
             )
         });
-        if defense_sims > 0 || defense_norms > 0 {
-            ledger.charge_defense(defense_sims, defense_norms);
-        }
-        ledger.end_round();
+
+        self.charge_round(&outcomes, strategy, params.len(), ledger);
 
         // Arrival resolution: corrupt results are rejected, lost uploads
         // never land, everything else gets an arrival time. The edge stays
@@ -916,15 +671,13 @@ impl Trainer {
         participants.extend(matured.iter().flat_map(|p| p.members.iter().copied()));
         strategy.end_global_round(&participants);
 
-        let agg_end = obs.map(|ob| {
-            let end = ob.now_ns();
-            ob.record_span_at(
+        let agg_end = obs.map(|o| {
+            end_span(
+                o,
                 SpanKind::Aggregate,
                 train_end.unwrap(),
-                end,
                 SpanAttrs::round(t),
-            );
-            end
+            )
         });
 
         let train_loss =
@@ -939,36 +692,14 @@ impl Trainer {
         history.record_timed(timed);
 
         let over_budget = cfg.cost_budget.is_some_and(|b| ledger.total() >= b);
-        let mut eval_ns = 0u64;
-        if t.is_multiple_of(cfg.eval_every) || last || over_budget {
-            let eval_start = obs.map(|ob| ob.now_ns());
-            let eval = self.evaluate(params);
-            if let Some(adv) = &self.adversary {
-                let rate = |d: &gfl_data::Dataset| {
-                    self.model
-                        .evaluate(params, d.features(), d.labels())
-                        .accuracy
-                };
-                history.record_asr(AsrRecord {
-                    round: t,
-                    trigger_asr: adv.trigger_eval.as_ref().map(&rate),
-                    flip_asr: adv.flip_eval.as_ref().map(&rate),
-                });
-            }
-            if let Some(ob) = obs {
-                let start = eval_start.unwrap();
-                let end = ob.now_ns();
-                eval_ns = end.saturating_sub(start);
-                ob.record_span_at(SpanKind::Eval, start, end, SpanAttrs::round(t));
-            }
-            history.push(RoundRecord {
-                round: t,
-                cost: ledger.total(),
-                accuracy: eval.accuracy,
-                loss: eval.loss,
-                train_loss,
-            });
-        }
+        let (eval_ns, _) = self.evaluate_round(
+            t,
+            last || over_budget,
+            params,
+            train_loss,
+            ledger.total(),
+            history,
+        );
 
         // Advance the emulated clock to the close; the next round
         // dispatches from here.
@@ -986,41 +717,20 @@ impl Trainer {
 
         if let Some(ob) = obs {
             let start = round_start.unwrap();
-            let end = ob.now_ns();
-            ob.record_span_at(SpanKind::Round, start, end, SpanAttrs::round(t));
-            let train_ns = train_end.unwrap().saturating_sub(start);
-            let agg_ns = agg_end.unwrap().saturating_sub(train_end.unwrap());
-            let clients_trained: u64 = (0..trained)
-                .map(|i| (group_refs[i].1.len() * cfg.group_rounds) as u64)
-                .sum();
-            let ce_bytes = ledger.client_edge_bytes() - bytes_before.0;
-            let ec_bytes = ledger.edge_cloud_bytes() - bytes_before.1;
-            ob.record_round(RoundMetrics {
-                round: t as u64,
-                wall_ns: end.saturating_sub(start),
-                train_ns,
-                aggregate_ns: agg_ns,
-                comm_ns: 0,
-                eval_ns,
-                groups_trained: trained as u64,
-                clients_trained,
-                fault_events,
-                cost_total: ledger.total(),
-                pool_regions: 0,
-                pool_claims: 0,
-                pool_steals: 0,
-                pool_utilization: 0.0,
-                allocs: 0,
-                client_edge_bytes: Some(ce_bytes),
-                edge_cloud_bytes: Some(ec_bytes),
-            });
-            let m = ob.metrics();
-            m.counter("rounds.total").inc();
-            m.counter("events.faults").add(fault_events);
-            m.counter("clients.trained").add(clients_trained);
-            m.counter("comm.bytes.client_edge").add(ce_bytes);
-            m.counter("comm.bytes.edge_cloud").add(ec_bytes);
-            m.gauge("cost.total").set(ledger.total());
+            let m = self.close_round(
+                ob,
+                start,
+                RoundMetrics {
+                    train_ns: train_end.unwrap().saturating_sub(start),
+                    aggregate_ns: agg_end.unwrap().saturating_sub(train_end.unwrap()),
+                    eval_ns,
+                    fault_events,
+                    ..RoundMetrics::empty(t)
+                },
+                &outcomes,
+                ledger,
+                bytes_before,
+            );
             // Semi-async telemetry only exists on semi-async runs, so
             // lockstep traces stay byte-identical to pre-async ones.
             m.gauge("async.clock_s").set(close);

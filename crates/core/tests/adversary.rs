@@ -151,7 +151,8 @@ fn every_campaign_kind_is_logged_and_measured() {
         .map(|d| {
             w.trainer()
                 .with_adversary(heavy_plan(w.cfg.seed + 101 * d))
-                .run(&w.groups, &FedAvg, SamplingStrategy::ESRCov)
+                .run_returning_params(&w.groups, &FedAvg, SamplingStrategy::ESRCov)
+                .0
         })
         .find(|h| {
             let s = h.attack_summary();
@@ -206,7 +207,8 @@ fn flame_filter_intercepts_model_poison() {
         .trainer()
         .with_adversary(plan)
         .with_robust_agg(RobustAggRule::FlameFilter)
-        .run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
     let s = h.attack_summary();
     assert!(s.model_poison > 0, "no poison to filter: {s}");
     assert!(s.filtered_flame > 0, "filter never fired: {s}");
@@ -282,10 +284,13 @@ fn adversary_composes_with_faults_and_churn() {
                 RegroupPolicy::default(),
             )
             .with_adversary(heavy_plan(w.cfg.seed ^ 0x53));
-        let (h, p, m) = t
-            .run_self_healing(&algo, &w.topo, &FedAvg, SamplingStrategy::ESRCov)
+        let spec =
+            RunSpec::new(Runtime::Lockstep, SamplingStrategy::ESRCov).healing(&algo, &w.topo);
+        let membership = t.form_membership(&algo, &w.topo, spec.sampling).unwrap();
+        let mut s = t.start(&FedAvg, membership);
+        t.advance(&spec, &mut s, &FedAvg, w.cfg.global_rounds)
             .expect("self-healing attacked run failed");
-        (h, p, m.groups)
+        (s.history, s.params, s.membership.groups)
     };
     let (h1, p1, g1) = run();
     let (h2, p2, g2) = run();
@@ -300,63 +305,28 @@ fn attacked_checkpoint_resume_is_bit_identical() {
     // The attack log and ASR trajectory ride through checkpoint JSON: a
     // split session must reproduce the straight run's history bit for bit.
     let w = world(49);
-    let trainer = w.trainer().with_adversary(heavy_plan(w.cfg.seed));
-    let covs: Vec<f32> = w
-        .groups
-        .iter()
-        .map(|g| gfl_core::cov::group_cov(&trainer.partition().label_matrix, g))
-        .collect();
-    let probs = SamplingStrategy::ESRCov.probabilities(&covs);
+    let make = || w.trainer().with_adversary(heavy_plan(w.cfg.seed));
+    let spec = RunSpec::new(Runtime::Lockstep, SamplingStrategy::ESRCov);
+    let fresh = |t: &Trainer| t.start(&FedAvg, t.frozen_membership(&w.groups, spec.sampling));
 
-    let mut p_straight = trainer
-        .model()
-        .init_params(&mut gfl_tensor::init::rng(w.cfg.seed));
-    let mut ledger = trainer.ledger_for(&FedAvg);
-    let mut h_straight = RunHistory::default();
-    trainer.run_resumable(
-        &w.groups,
-        &FedAvg,
-        &probs,
-        &mut p_straight,
-        &mut ledger,
-        &mut h_straight,
-        0,
-        6,
-    );
+    let trainer = make();
+    let mut straight = fresh(&trainer);
+    trainer.advance(&spec, &mut straight, &FedAvg, 6).unwrap();
 
-    let mut p_half = trainer
-        .model()
-        .init_params(&mut gfl_tensor::init::rng(w.cfg.seed));
-    let mut ledger2 = trainer.ledger_for(&FedAvg);
-    let mut h_half = RunHistory::default();
-    trainer.run_resumable(
-        &w.groups,
-        &FedAvg,
-        &probs,
-        &mut p_half,
-        &mut ledger2,
-        &mut h_half,
-        0,
-        3,
-    );
-    let cp = Checkpoint::new(p_half, 3, h_half, w.cfg.clone(), ledger2.total());
-    let restored = Checkpoint::from_json(&cp.to_json()).expect("checkpoint roundtrip");
+    let mut half = fresh(&trainer);
+    trainer.advance(&spec, &mut half, &FedAvg, 3).unwrap();
+    let json = Checkpoint::new(&half, w.cfg.clone()).to_json();
+    drop((trainer, half));
+    let restored = Checkpoint::from_json(&json).expect("checkpoint roundtrip");
     assert!(
         !restored.history.attack_events().is_empty(),
         "attack log lost in checkpoint"
     );
-    let mut p_resumed = restored.params.clone();
-    let mut h_resumed = restored.history.clone();
-    trainer.run_resumable(
-        &w.groups,
-        &FedAvg,
-        &probs,
-        &mut p_resumed,
-        &mut ledger2,
-        &mut h_resumed,
-        restored.round,
-        3,
-    );
+    // A fresh trainer resumes from the file alone.
+    let mut resumed = restored.into_state().expect("complete checkpoint");
+    make().advance(&spec, &mut resumed, &FedAvg, 3).unwrap();
+    let (p_straight, h_straight) = (straight.params, straight.history);
+    let (p_resumed, h_resumed) = (resumed.params, resumed.history);
     assert_eq!(p_straight, p_resumed);
     assert_eq!(h_straight, h_resumed);
     assert_eq!(
@@ -383,7 +353,8 @@ fn attack_defense_telemetry_reaches_the_collector() {
         .with_adversary(plan)
         .with_robust_agg(RobustAggRule::FlameFilter)
         .with_observer(std::sync::Arc::clone(&obs))
-        .run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
     let trace = obs.finish(1);
     let metrics = &trace.summary.as_ref().expect("trace summary").metrics;
     let get = |name: &str| metrics.counter(name).unwrap_or(0);
@@ -415,7 +386,9 @@ fn defense_work_shows_up_in_the_cost_ledger() {
             .trainer()
             .with_adversary(plan.clone())
             .with_robust_agg(rule);
-        let h = t.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let h = t
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
         h.last_record().expect("trajectory").cost
     };
     let plain = run_cost(RobustAggRule::Mean);

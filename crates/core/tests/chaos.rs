@@ -76,8 +76,12 @@ fn empty_plan_is_bit_identical_to_no_faults() {
     let (clean, _, groups) = trainer(11);
     let (armed, topo, _) = trainer(11);
     let armed = armed.with_faults(FaultPlan::none(), FaultPolicy::default(), &topo);
-    let a = clean.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
-    let b = armed.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let a = clean
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
+    let b = armed
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
     assert_eq!(a, b);
     assert!(b.fault_events().is_empty());
 }
@@ -89,7 +93,8 @@ fn faulted_run_is_deterministic() {
     let run = || {
         let (t, topo, groups) = trainer(12);
         let t = t.with_faults(FaultPlan::moderate(99), FaultPolicy::default(), &topo);
-        t.run(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        t.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0
     };
     let a = run();
     let b = run();
@@ -188,7 +193,9 @@ fn every_fault_kind_leaves_an_event() {
     let mut cfg = cfg;
     cfg.global_rounds = 8;
     let t = Trainer::new(cfg, model, train, part, test).with_faults(plan, policy, &topo);
-    let h = t.run(&groups, &FedAvg, SamplingStrategy::Random);
+    let h = t
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+        .0;
     let s = h.fault_summary();
     assert!(s.crashes > 0, "no crashes recorded: {s}");
     assert!(s.stragglers_cut > 0, "no straggler cuts recorded: {s}");
@@ -218,7 +225,9 @@ fn moderate_faults_degrade_gracefully() {
         part.clone(),
         test.clone(),
     );
-    let baseline = clean.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let baseline = clean
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
     let faulted = Trainer::new(cfg, model, train, part, test).with_faults(
         FaultPlan::moderate(3),
         FaultPolicy::default(),
@@ -244,7 +253,6 @@ fn faulted_checkpoint_resume_is_bit_identical() {
     let (cfg, model, part, topo, groups, train, test) = world(17);
     let mut cfg = cfg;
     cfg.global_rounds = 6;
-    let seed = cfg.seed;
     let make = || {
         Trainer::new(
             cfg.clone(),
@@ -255,63 +263,37 @@ fn faulted_checkpoint_resume_is_bit_identical() {
         )
         .with_faults(FaultPlan::moderate(21), FaultPolicy::default(), &topo)
     };
-    let t = make();
-    let covs: Vec<f32> = groups
-        .iter()
-        .map(|g| group_cov(&t.partition().label_matrix, g))
-        .collect();
-    let probs = SamplingStrategy::ESRCov.probabilities(&covs);
+    let spec = RunSpec::new(Runtime::Lockstep, SamplingStrategy::ESRCov);
+    let fresh = |t: &Trainer| t.start(&FedAvg, t.frozen_membership(&groups, spec.sampling));
 
     // Uninterrupted 6 rounds.
-    let mut p_straight = t.model().init_params(&mut init::rng(seed));
-    let mut ledger = t.ledger_for(&FedAvg);
-    let mut hist = RunHistory::default();
-    t.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut p_straight,
-        &mut ledger,
-        &mut hist,
-        0,
-        6,
-    );
+    let t = make();
+    let mut straight = fresh(&t);
+    t.advance(&spec, &mut straight, &FedAvg, 6).unwrap();
 
-    // 3 rounds → checkpoint → JSON round-trip → fresh trainer → 3 more.
-    let mut p_half = t.model().init_params(&mut init::rng(seed));
-    let mut ledger2 = t.ledger_for(&FedAvg);
-    let mut hist2 = RunHistory::default();
-    t.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut p_half,
-        &mut ledger2,
-        &mut hist2,
-        0,
-        3,
-    );
+    // 3 rounds → checkpoint → JSON round-trip → a fresh trainer takes
+    // every piece of state from the file → 3 more.
+    let mut half = fresh(&t);
+    t.advance(&spec, &mut half, &FedAvg, 3).unwrap();
     assert!(
-        !hist2.fault_events().is_empty(),
+        !half.history.fault_events().is_empty(),
         "need faults before the cut for the test to mean anything"
     );
-    let cp = Checkpoint::new(p_half, 3, hist2, cfg.clone(), ledger2.total());
-    let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
-    assert_eq!(restored.history.fault_events(), cp.history.fault_events());
+    let json = Checkpoint::new(&half, cfg.clone()).to_json();
+    let mut resumed = Checkpoint::from_json(&json).unwrap().into_state().unwrap();
+    assert_eq!(resumed.history.fault_events(), half.history.fault_events());
+    drop((t, half));
 
     let t2 = make();
-    let mut p_resumed = restored.params.clone();
-    let mut hist3 = restored.history.clone();
-    t2.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut p_resumed,
-        &mut ledger2,
-        &mut hist3,
-        restored.round,
-        3,
+    t2.advance(&spec, &mut resumed, &FedAvg, 3).unwrap();
+    assert_eq!(resumed.params, straight.params, "resumed model diverged");
+    assert_eq!(
+        resumed.history, straight.history,
+        "resumed trajectory or fault log diverged"
     );
-    assert_eq!(p_resumed, p_straight, "resumed model diverged");
-    assert_eq!(hist3, hist, "resumed trajectory or fault log diverged");
+    assert_eq!(
+        resumed.ledger.round_totals(),
+        straight.ledger.round_totals(),
+        "resumed ledger diverged"
+    );
 }

@@ -14,12 +14,11 @@
 //! shake out seed-sensitive nondeterminism.
 
 use gfl_core::checkpoint::Checkpoint;
-use gfl_core::membership::{MembershipState, RegroupEvent, RegroupPolicy};
+use gfl_core::membership::{RegroupEvent, RegroupPolicy};
 use gfl_core::prelude::*;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_faults::{ChurnPlan, FaultPlan, FaultPolicy};
 use gfl_sim::Topology;
-use gfl_tensor::init;
 
 /// CI seed shift: `GFL_SEED=n` offsets every seed in the suite.
 fn seed_offset() -> u64 {
@@ -50,11 +49,24 @@ fn world(
     (cfg, gfl_nn::zoo::tiny(4, 3), part, topo, train, test)
 }
 
-fn algo() -> CovGrouping {
-    CovGrouping {
-        min_group_size: 2,
-        max_cov: 1.0,
-    }
+const ALGO: CovGrouping = CovGrouping {
+    min_group_size: 2,
+    max_cov: 1.0,
+};
+
+/// The lockstep self-healing spec every churn test runs.
+fn healing(topo: &Topology) -> RunSpec<'_> {
+    RunSpec::new(Runtime::Lockstep, SamplingStrategy::ESRCov).healing(&ALGO, topo)
+}
+
+/// A self-healing run of all `T` rounds from the round-0 formation.
+fn run_healing(t: &Trainer, topo: &Topology) -> RunState {
+    let spec = healing(topo);
+    let membership = t.form_membership(&ALGO, topo, spec.sampling).unwrap();
+    let mut state = t.start(&FedAvg, membership);
+    t.advance(&spec, &mut state, &FedAvg, t.config().global_rounds)
+        .unwrap();
+    state
 }
 
 #[test]
@@ -63,7 +75,7 @@ fn clean_churn_plan_is_bit_identical_to_static_run() {
     // clean plan through the self-healing loop reproduces the static
     // engine bit for bit.
     let (cfg, model, part, topo, train, test) = world(21);
-    let static_groups = form_groups_per_edge(&algo(), &topo, &part.label_matrix, cfg.seed);
+    let static_groups = form_groups_per_edge(&ALGO, &topo, &part.label_matrix, cfg.seed);
     let plain = Trainer::new(
         cfg.clone(),
         model.clone(),
@@ -76,9 +88,12 @@ fn clean_churn_plan_is_bit_identical_to_static_run() {
 
     let churned = Trainer::new(cfg, model, train, part, test)
         .with_churn(ChurnPlan::none(), RegroupPolicy::default());
-    let (h_churn, p_churn, membership) = churned
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
-        .unwrap();
+    let RunState {
+        history: h_churn,
+        params: p_churn,
+        membership,
+        ..
+    } = run_healing(&churned, &topo);
 
     assert_eq!(membership.groups, static_groups);
     assert_eq!(p_static, p_churn);
@@ -100,8 +115,8 @@ fn churned_run_is_deterministic_down_to_the_regroup_log() {
         let (cfg, model, part, topo, train, test) = world(22);
         let t = Trainer::new(cfg, model, train, part, test)
             .with_churn(plan.clone(), RegroupPolicy::default());
-        t.run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
-            .unwrap()
+        let s = run_healing(&t, &topo);
+        (s.history, s.params, s.membership)
     };
     let (h_a, p_a, m_a) = run();
     let (h_b, p_b, m_b) = run();
@@ -132,9 +147,12 @@ fn zero_survivor_groups_are_dissolved_not_held_forever() {
     };
     let n_clients = part.num_clients();
     let t = Trainer::new(cfg, model, train, part, test).with_churn(plan, RegroupPolicy::default());
-    let (h, p, membership) = t
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
-        .unwrap();
+    let RunState {
+        history: h,
+        params: p,
+        membership,
+        ..
+    } = run_healing(&t, &topo);
 
     assert!(membership.groups.is_empty(), "{:?}", membership.groups);
     assert_eq!(membership.active_members(), 0);
@@ -158,9 +176,11 @@ fn arrivals_join_groups_on_their_own_edge() {
     let (cfg, model, part, topo, train, test) = world(24);
     let t = Trainer::new(cfg, model, train, part, test)
         .with_churn(plan.clone(), RegroupPolicy::default());
-    let (h, _, membership) = t
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
-        .unwrap();
+    let RunState {
+        history: h,
+        membership,
+        ..
+    } = run_healing(&t, &topo);
     let arrivals: Vec<&RegroupEvent> = h
         .regroup_events()
         .iter()
@@ -197,9 +217,11 @@ fn frozen_policy_leaves_arrivals_unplaced() {
     let (cfg, model, part, topo, train, test) = world(25);
     let t = Trainer::new(cfg, model, train, part, test)
         .with_churn(plan.clone(), RegroupPolicy::frozen());
-    let (h, _, membership) = t
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
-        .unwrap();
+    let RunState {
+        history: h,
+        membership,
+        ..
+    } = run_healing(&t, &topo);
     let placed = h
         .regroup_events()
         .iter()
@@ -213,7 +235,7 @@ fn frozen_policy_leaves_arrivals_unplaced() {
         .map(|c| plan.present(c, 0))
         .collect();
     let founding_groups = gfl_core::membership::form_groups_active(
-        &algo(),
+        &ALGO,
         &topo,
         &t.partition().label_matrix,
         &founders,
@@ -251,18 +273,22 @@ fn self_healing_stays_close_to_clean_while_frozen_degrades() {
         )
     };
 
-    let static_groups = form_groups_per_edge(&algo(), &topo, &part.label_matrix, cfg.seed);
-    let clean = make().run(&static_groups, &FedAvg, SamplingStrategy::ESRCov);
+    let static_groups = form_groups_per_edge(&ALGO, &topo, &part.label_matrix, cfg.seed);
+    let (clean, _) = make().run_returning_params(&static_groups, &FedAvg, SamplingStrategy::ESRCov);
 
     let healed_trainer = make().with_churn(plan.clone(), RegroupPolicy::default());
-    let (healed, p_healed, _) = healed_trainer
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
-        .unwrap();
+    let RunState {
+        history: healed,
+        params: p_healed,
+        ..
+    } = run_healing(&healed_trainer, &topo);
 
     let frozen_trainer = make().with_churn(plan, RegroupPolicy::frozen());
-    let (frozen, p_frozen, _) = frozen_trainer
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
-        .unwrap();
+    let RunState {
+        history: frozen,
+        params: p_frozen,
+        ..
+    } = run_healing(&frozen_trainer, &topo);
 
     assert!(p_healed.iter().all(|w| w.is_finite()));
     assert!(p_frozen.iter().all(|w| w.is_finite()));
@@ -306,7 +332,6 @@ fn faulted_churn_resume_from_post_regroup_checkpoint_is_bit_identical() {
         cooldown: 1,
         ..RegroupPolicy::default()
     };
-    let seed = cfg.seed;
     let make = || {
         Trainer::new(
             cfg.clone(),
@@ -318,87 +343,49 @@ fn faulted_churn_resume_from_post_regroup_checkpoint_is_bit_identical() {
         .with_faults(FaultPlan::moderate(5), FaultPolicy::default(), &topo)
         .with_churn(plan.clone(), policy.clone())
     };
-    let form = |t: &Trainer| {
-        MembershipState::form(
-            &algo(),
-            &topo,
-            &t.partition().label_matrix,
-            Some(&plan),
-            policy.clone(),
-            seed,
-            SamplingStrategy::ESRCov,
-            0,
-        )
-        .unwrap()
+    let spec = healing(&topo);
+    let fresh = |t: &Trainer| {
+        let membership = t.form_membership(&ALGO, &topo, spec.sampling).unwrap();
+        t.start(&FedAvg, membership)
     };
 
     // Uninterrupted 10 rounds.
     let t = make();
-    let mut m_straight = form(&t);
-    let mut p_straight = t.model().init_params(&mut init::rng(seed));
-    let mut ledger = t.ledger_for(&FedAvg);
-    let mut hist = RunHistory::default();
-    t.run_self_healing_resumable(
-        &algo(),
-        &topo,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
-        &mut m_straight,
-        &mut p_straight,
-        &mut ledger,
-        &mut hist,
-        0,
-        10,
-    )
-    .unwrap();
+    let mut straight = fresh(&t);
+    t.advance(&spec, &mut straight, &FedAvg, 10).unwrap();
 
-    // 5 rounds → checkpoint (with membership) → JSON → fresh trainer → 5.
+    // 5 rounds → checkpoint → JSON → a fresh trainer takes every piece of
+    // state (ledger and membership included) from the file → 5 more.
     let t1 = make();
-    let mut m_half = form(&t1);
-    let mut p_half = t1.model().init_params(&mut init::rng(seed));
-    let mut ledger2 = t1.ledger_for(&FedAvg);
-    let mut hist2 = RunHistory::default();
-    t1.run_self_healing_resumable(
-        &algo(),
-        &topo,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
-        &mut m_half,
-        &mut p_half,
-        &mut ledger2,
-        &mut hist2,
-        0,
-        5,
-    )
-    .unwrap();
+    let mut half = fresh(&t1);
+    t1.advance(&spec, &mut half, &FedAvg, 5).unwrap();
     assert!(
-        !hist2.regroup_events().is_empty(),
+        !half.history.regroup_events().is_empty(),
         "need a regroup before the cut for the test to mean anything"
     );
-    let cp = Checkpoint::new(p_half, 5, hist2, cfg.clone(), ledger2.total())
-        .with_membership(m_half.clone());
-    let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
-    let mut m_resumed = restored.membership.clone().unwrap();
-    assert_eq!(m_resumed, m_half, "membership state changed in transit");
+    let json = Checkpoint::new(&half, cfg.clone()).to_json();
+    let mut resumed = Checkpoint::from_json(&json).unwrap().into_state().unwrap();
+    assert_eq!(
+        resumed.membership, half.membership,
+        "membership state changed in transit"
+    );
+    drop((t1, half));
 
     let t2 = make();
-    let mut p_resumed = restored.params.clone();
-    let mut hist3 = restored.history.clone();
-    t2.run_self_healing_resumable(
-        &algo(),
-        &topo,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
-        &mut m_resumed,
-        &mut p_resumed,
-        &mut ledger2,
-        &mut hist3,
-        restored.round,
-        5,
-    )
-    .unwrap();
+    t2.advance(&spec, &mut resumed, &FedAvg, 5).unwrap();
 
-    assert_eq!(p_resumed, p_straight, "resumed model diverged");
-    assert_eq!(hist3, hist, "resumed trajectory diverged");
-    assert_eq!(m_resumed, m_straight, "resumed membership diverged");
+    assert_eq!(resumed.params, straight.params, "resumed model diverged");
+    assert_eq!(
+        resumed.history, straight.history,
+        "resumed trajectory diverged"
+    );
+    assert_eq!(
+        resumed.membership, straight.membership,
+        "resumed membership diverged"
+    );
+    assert_eq!(
+        resumed.ledger.round_totals(),
+        straight.ledger.round_totals(),
+        "resumed ledger diverged"
+    );
 }

@@ -188,10 +188,12 @@ fn churned_self_healing_run_is_bit_identical_across_thread_counts() {
             },
             RegroupPolicy::default(),
         );
-        let (h, p, m) = t
-            .run_self_healing(&algo, &topo, &FedAvg, SamplingStrategy::ESRCov)
+        let spec = RunSpec::new(Runtime::Lockstep, SamplingStrategy::ESRCov).healing(&algo, &topo);
+        let membership = t.form_membership(&algo, &topo, spec.sampling).unwrap();
+        let mut s = t.start(&FedAvg, membership);
+        t.advance(&spec, &mut s, &FedAvg, cfg.global_rounds)
             .expect("self-healing run failed");
-        (h, p, m.groups)
+        (s.history, s.params, s.membership.groups)
     });
 }
 

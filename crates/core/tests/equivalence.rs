@@ -120,7 +120,10 @@ fn clean_lockstep_is_bitwise_equivalent() {
         assert!(p.iter().all(|w| w.is_finite()));
         // Serialized traces must match byte for byte too — nothing about
         // virtuality may leak into the recorded history shape.
-        let h_virt = t.virt().run(&t.groups, &FedAvg, SamplingStrategy::ESRCov);
+        let h_virt = t
+            .virt()
+            .run_returning_params(&t.groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
         assert_eq!(
             serde_json::to_string(&h).unwrap(),
             serde_json::to_string(&h_virt).unwrap(),
@@ -226,9 +229,17 @@ fn churned_self_healing_is_bitwise_equivalent() {
         };
         let p = plan.clone();
         let (h, _, membership) = assert_equivalent(seed, "churned", &t, move |tr| {
-            tr.with_churn(p.clone(), RegroupPolicy::default())
-                .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
-                .unwrap()
+            let tr = tr.with_churn(p.clone(), RegroupPolicy::default());
+            let algo = algo();
+            let spec =
+                RunSpec::new(Runtime::Lockstep, SamplingStrategy::ESRCov).healing(&algo, &topo);
+            let mut s = tr.start(
+                &FedAvg,
+                tr.form_membership(&algo, &topo, spec.sampling).unwrap(),
+            );
+            tr.advance(&spec, &mut s, &FedAvg, tr.config().global_rounds)
+                .unwrap();
+            (s.history, s.params, s.membership)
         });
         assert!(
             !h.regroup_events().is_empty(),
@@ -245,7 +256,7 @@ fn semi_async_runtime_is_bitwise_equivalent() {
         let groups = t.groups.clone();
         let topo = t.topo.clone();
         let (h, _, report) = assert_equivalent(seed, "semi-async", &t, move |tr| {
-            tr.with_faults(
+            let tr = tr.with_faults(
                 FaultPlan {
                     straggler_fraction: 0.45,
                     straggler_factor: 8.0,
@@ -257,13 +268,15 @@ fn semi_async_runtime_is_bitwise_equivalent() {
                     ..FaultPolicy::default()
                 },
                 &topo,
-            )
-            .run_semi_async(
-                &groups,
-                &FedAvg,
+            );
+            let spec = RunSpec::new(
+                Runtime::SemiAsync(AsyncConfig::default()),
                 SamplingStrategy::ESRCov,
-                &AsyncConfig::default(),
-            )
+            );
+            let mut s = tr.start(&FedAvg, tr.frozen_membership(&groups, spec.sampling));
+            tr.advance(&spec, &mut s, &FedAvg, tr.config().global_rounds)
+                .unwrap();
+            (s.history, s.params, s.report)
         });
         assert!(!report.rounds.is_empty());
         assert!(h.records().iter().all(|r| r.loss.is_finite()));

@@ -137,13 +137,16 @@ fn run_scenario_observed(
     if let Some(clients) = virtual_clients {
         let (cfg, model, pop, groups, test) = virtual_world(clients, seed);
         let t = attach(Trainer::new_virtual(cfg, model, pop, test));
-        return t.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        return t
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
     }
     let (cfg, model, part, topo, groups, train, test) = world(seed);
     match name {
         "clean" => {
             let t = attach(Trainer::new(cfg, model, train, part, test));
-            t.run(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            t.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+                .0
         }
         "faulted" => {
             let t = attach(Trainer::new(cfg, model, train, part, test).with_faults(
@@ -151,7 +154,8 @@ fn run_scenario_observed(
                 FaultPolicy::default(),
                 &topo,
             ));
-            t.run(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            t.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+                .0
         }
         "churned" => {
             let horizon = cfg.global_rounds;
@@ -167,16 +171,20 @@ fn run_scenario_observed(
                 min_group_size: 2,
                 max_cov: 1.0,
             };
-            let (h, _, _) = t
-                .run_self_healing(&algo, &topo, &FedAvg, SamplingStrategy::ESRCov)
+            let spec =
+                RunSpec::new(Runtime::Lockstep, SamplingStrategy::ESRCov).healing(&algo, &topo);
+            let membership = t.form_membership(&algo, &topo, spec.sampling).unwrap();
+            let mut s = t.start(&FedAvg, membership);
+            t.advance(&spec, &mut s, &FedAvg, horizon)
                 .expect("self-healing run failed");
-            h
+            s.history
         }
         "secure" => {
             let mut cfg = cfg;
             cfg.secure_aggregation = true;
             let t = attach(Trainer::new(cfg, model, train, part, test));
-            t.run(&groups, &FedAvg, SamplingStrategy::Random)
+            t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+                .0
         }
         "attacked" => {
             // Attacked + defended: a mixed campaign against FLAME-filtered
@@ -203,7 +211,9 @@ fn run_scenario_observed(
                     .with_adversary(plan)
                     .with_robust_agg(RobustAggRule::FlameFilter),
             );
-            let h = t.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+            let h = t
+                .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+                .0;
             assert!(
                 h.attack_summary().injected() > 0,
                 "attacked snapshot must contain injections"

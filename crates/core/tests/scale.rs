@@ -84,7 +84,9 @@ fn peak_bytes_for(clients: usize, seed: u64) -> (usize, usize) {
     cfg.seed = seed;
     cfg.global_rounds = 3;
     let t = Trainer::new_virtual(cfg, gfl_nn::zoo::vision_model(), pop, test);
-    let h = t.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let h = t
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
     assert_eq!(h.records().len(), 3);
     drop(t);
 

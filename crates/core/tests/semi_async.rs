@@ -66,6 +66,65 @@ fn world(
     )
 }
 
+/// A semi-async run of all `T` rounds over fixed `groups`.
+fn run_semi_async(
+    t: &Trainer,
+    groups: &[Group],
+    acfg: &AsyncConfig,
+) -> (RunHistory, gfl_nn::Params, AsyncReport) {
+    let spec = RunSpec::new(Runtime::SemiAsync(*acfg), SamplingStrategy::ESRCov);
+    let mut state = t.start(&FedAvg, t.frozen_membership(groups, spec.sampling));
+    t.advance(&spec, &mut state, &FedAvg, t.config().global_rounds)
+        .unwrap();
+    (state.history, state.params, state.report)
+}
+
+/// Runs `spec` for 6 rounds straight and as 3 rounds → checkpoint JSON →
+/// a fresh trainer that takes all state from the file → 3 more, and
+/// asserts every piece of run state matches exactly.
+fn assert_resume_is_bit_identical(
+    make: impl Fn() -> Trainer,
+    spec: &RunSpec<'_>,
+    fresh: impl Fn(&Trainer) -> RunState,
+) -> RunState {
+    let t = make();
+    let mut straight = fresh(&t);
+    t.advance(spec, &mut straight, &FedAvg, 6).unwrap();
+    let mut half = fresh(&t);
+    t.advance(spec, &mut half, &FedAvg, 3).unwrap();
+    let json = Checkpoint::new(&half, t.config().clone()).to_json();
+    drop((t, half));
+
+    let mut resumed = Checkpoint::from_json(&json).unwrap().into_state().unwrap();
+    make().advance(spec, &mut resumed, &FedAvg, 3).unwrap();
+    assert_eq!(
+        straight.params, resumed.params,
+        "params diverged across resume"
+    );
+    assert_eq!(
+        straight.history, resumed.history,
+        "history diverged across resume"
+    );
+    assert_eq!(
+        straight.scheduler, resumed.scheduler,
+        "scheduler diverged across resume"
+    );
+    assert_eq!(
+        straight.report, resumed.report,
+        "report diverged across resume"
+    );
+    assert_eq!(
+        straight.membership, resumed.membership,
+        "membership diverged across resume"
+    );
+    assert_eq!(
+        straight.ledger.round_totals(),
+        resumed.ledger.round_totals(),
+        "ledger diverged across resume"
+    );
+    straight
+}
+
 /// The degenerate-limit policy: wait for every report, never cut.
 fn lockstep_limit_policy() -> FaultPolicy {
     FaultPolicy {
@@ -92,17 +151,15 @@ fn degenerate_limit_reproduces_lockstep_bit_for_bit() {
             sync.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
 
         // Plain semi-async (no fault state): defaults to the limit.
-        let (h_plain, p_plain, rep_plain) = Trainer::new(
-            cfg.clone(),
-            model.clone(),
-            train.clone(),
-            part.clone(),
-            test.clone(),
-        )
-        .run_semi_async(
+        let (h_plain, p_plain, rep_plain) = run_semi_async(
+            &Trainer::new(
+                cfg.clone(),
+                model.clone(),
+                train.clone(),
+                part.clone(),
+                test.clone(),
+            ),
             &groups,
-            &FedAvg,
-            SamplingStrategy::ESRCov,
             &AsyncConfig::default(),
         );
         assert_eq!(
@@ -116,18 +173,16 @@ fn degenerate_limit_reproduces_lockstep_bit_for_bit() {
         assert!(h_plain.timed_events().is_empty());
 
         // Semi-async with a clean plan and the limit policy attached.
-        let (h_lim, p_lim, rep_lim) = Trainer::new(
-            cfg.clone(),
-            model.clone(),
-            train.clone(),
-            part.clone(),
-            test.clone(),
-        )
-        .with_faults(FaultPlan::none(), lockstep_limit_policy(), &topo)
-        .run_semi_async(
+        let (h_lim, p_lim, rep_lim) = run_semi_async(
+            &Trainer::new(
+                cfg.clone(),
+                model.clone(),
+                train.clone(),
+                part.clone(),
+                test.clone(),
+            )
+            .with_faults(FaultPlan::none(), lockstep_limit_policy(), &topo),
             &groups,
-            &FedAvg,
-            SamplingStrategy::ESRCov,
             &AsyncConfig::default(),
         );
         assert_eq!(h_lim, h_sync, "seed {seed}: limit-policy history diverged");
@@ -175,12 +230,7 @@ fn semi_async_is_bit_identical_across_thread_counts() {
             },
             &topo,
         );
-        let result = t.run_semi_async(
-            &groups,
-            &FedAvg,
-            SamplingStrategy::ESRCov,
-            &AsyncConfig::default(),
-        );
+        let result = run_semi_async(&t, &groups, &AsyncConfig::default());
         match &baseline {
             None => {
                 assert!(
@@ -195,6 +245,28 @@ fn semi_async_is_bit_identical_across_thread_counts() {
     gfl_parallel::set_default_parallelism(0);
 }
 
+/// The straggler-heavy faults, partial quorum and stale-weighting cloud
+/// deadline both resume tests run under, so cuts, busy edges and parked
+/// uploads are all live at the checkpoint.
+fn resume_knobs() -> (FaultPlan, FaultPolicy, AsyncConfig) {
+    (
+        FaultPlan {
+            straggler_fraction: 0.45,
+            straggler_factor: 8.0,
+            ..FaultPlan::none()
+        },
+        FaultPolicy {
+            quorum_fraction: 0.7,
+            deadline_factor: 1.5,
+            ..FaultPolicy::default()
+        },
+        AsyncConfig {
+            staleness: StalenessPolicy::Weighted { decay: 1.0 },
+            cloud_deadline_factor: 1.2,
+        },
+    )
+}
+
 #[test]
 fn semi_async_checkpoint_resume_is_bit_identical() {
     // 6 rounds straight vs 3 → checkpoint (JSON round-trip, scheduler
@@ -202,95 +274,69 @@ fn semi_async_checkpoint_resume_is_bit_identical() {
     // must all be exactly equal.
     let (mut cfg, model, part, topo, groups, train, test) = world(45);
     cfg.global_rounds = 6;
-    let plan = FaultPlan {
-        straggler_fraction: 0.45,
-        straggler_factor: 8.0,
-        ..FaultPlan::none()
+    let (plan, policy, acfg) = resume_knobs();
+    let make = || {
+        Trainer::new(
+            cfg.clone(),
+            model.clone(),
+            train.clone(),
+            part.clone(),
+            test.clone(),
+        )
+        .with_faults(plan.clone(), policy, &topo)
     };
-    let policy = FaultPolicy {
-        quorum_fraction: 0.7,
-        deadline_factor: 1.5,
-        ..FaultPolicy::default()
-    };
-    let acfg = AsyncConfig {
-        staleness: StalenessPolicy::Weighted { decay: 1.0 },
-        cloud_deadline_factor: 1.2,
-    };
-    let trainer =
-        Trainer::new(cfg.clone(), model, train, part, test).with_faults(plan, policy, &topo);
-    let covs: Vec<f32> = groups
-        .iter()
-        .map(|g| group_cov(&trainer.partition().label_matrix, g))
-        .collect();
-    let probs = SamplingStrategy::ESRCov.probabilities(&covs);
+    let spec = RunSpec::new(Runtime::SemiAsync(acfg), SamplingStrategy::ESRCov);
+    assert_resume_is_bit_identical(make, &spec, |t| {
+        t.start(&FedAvg, t.frozen_membership(&groups, spec.sampling))
+    });
+}
 
-    let run = |split: Option<usize>| {
-        let mut params = trainer
-            .model()
-            .init_params(&mut gfl_tensor::init::rng(cfg.seed));
-        let mut ledger = trainer.ledger_for(&FedAvg);
-        let mut history = RunHistory::default();
-        let mut sched = SchedulerState::new();
-        let mut report = AsyncReport::default();
-        match split {
-            None => trainer.run_semi_async_resumable(
-                &groups,
-                &FedAvg,
-                &probs,
-                &acfg,
-                &mut params,
-                &mut ledger,
-                &mut history,
-                &mut sched,
-                &mut report,
-                0,
-                6,
-            ),
-            Some(at) => {
-                trainer.run_semi_async_resumable(
-                    &groups,
-                    &FedAvg,
-                    &probs,
-                    &acfg,
-                    &mut params,
-                    &mut ledger,
-                    &mut history,
-                    &mut sched,
-                    &mut report,
-                    0,
-                    at,
-                );
-                // Round-trip everything resumable through checkpoint JSON.
-                let cp = Checkpoint::new(params, at, history, cfg.clone(), ledger.total())
-                    .with_scheduler(sched);
-                let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
-                params = restored.params;
-                history = restored.history;
-                sched = restored.scheduler.unwrap();
-                trainer.run_semi_async_resumable(
-                    &groups,
-                    &FedAvg,
-                    &probs,
-                    &acfg,
-                    &mut params,
-                    &mut ledger,
-                    &mut history,
-                    &mut sched,
-                    &mut report,
-                    at,
-                    6 - at,
-                );
-            }
-        }
-        (params, history, sched, report.rounds.len())
+#[test]
+fn churned_semi_async_checkpoint_resume_is_bit_identical() {
+    // Semi-async + churn + healing, cut after membership transitions,
+    // must resume from the checkpoint file alone — params, history,
+    // scheduler, report and membership all exactly equal.
+    let (mut cfg, model, part, topo, _, train, test) = world(65);
+    cfg.global_rounds = 6;
+    let (plan, policy, acfg) = resume_knobs();
+    let churn = gfl_faults::ChurnPlan {
+        seed: 73 + seed_offset(),
+        horizon: 3,
+        departure_fraction: 0.4,
+        arrival_fraction: 0.3,
+        flap_prob: 0.1,
     };
-
-    let straight = run(None);
-    let resumed = run(Some(3));
-    assert_eq!(straight.0, resumed.0, "params diverged across resume");
-    assert_eq!(straight.1, resumed.1, "history diverged across resume");
-    assert_eq!(straight.2, resumed.2, "scheduler diverged across resume");
-    assert_eq!(straight.3, resumed.3);
+    let algo = CovGrouping {
+        min_group_size: 2,
+        max_cov: 1.0,
+    };
+    let make = || {
+        Trainer::new(
+            cfg.clone(),
+            model.clone(),
+            train.clone(),
+            part.clone(),
+            test.clone(),
+        )
+        .with_faults(plan.clone(), policy, &topo)
+        .with_churn(churn.clone(), RegroupPolicy::default())
+    };
+    let spec =
+        RunSpec::new(Runtime::SemiAsync(acfg), SamplingStrategy::ESRCov).healing(&algo, &topo);
+    let straight = assert_resume_is_bit_identical(make, &spec, |t| {
+        t.start(
+            &FedAvg,
+            t.form_membership(&algo, &topo, spec.sampling).unwrap(),
+        )
+    });
+    assert!(
+        straight
+            .history
+            .regroup_events()
+            .iter()
+            .any(|e| e.round() < 3),
+        "need a membership transition before the cut for the test to bite"
+    );
 }
 
 #[test]
@@ -309,12 +355,7 @@ fn partial_quorum_cuts_stragglers_as_timed_events() {
         },
         &topo,
     );
-    let (history, _, report) = trainer.run_semi_async(
-        &groups,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
-        &AsyncConfig::default(),
-    );
+    let (history, _, report) = run_semi_async(&trainer, &groups, &AsyncConfig::default());
     assert!(report.total_cut_reports() > 0, "stragglers should get cut");
     let closes = history
         .timed_events()
@@ -364,10 +405,9 @@ fn cloud_deadline_strands_stale_results_per_policy() {
         .with_faults(plan.clone(), policy, &topo)
     };
 
-    let (h_drop, _, rep_drop) = mk().run_semi_async(
+    let (h_drop, _, rep_drop) = run_semi_async(
+        &mk(),
         &groups,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
         &AsyncConfig {
             staleness: StalenessPolicy::DropStale,
             cloud_deadline_factor: 1.05,
@@ -387,10 +427,9 @@ fn cloud_deadline_strands_stale_results_per_policy() {
         .iter()
         .any(|e| matches!(e, TimedEvent::CloudRoundClosed { .. })));
 
-    let (h_w, _, rep_w) = mk().run_semi_async(
+    let (h_w, _, rep_w) = run_semi_async(
+        &mk(),
         &groups,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
         &AsyncConfig {
             staleness: StalenessPolicy::Weighted { decay: 0.5 },
             cloud_deadline_factor: 1.05,
@@ -427,21 +466,18 @@ fn semi_async_cuts_emulated_wall_clock_under_stragglers() {
         )
         .with_faults(plan.clone(), policy, &topo)
     };
-    let (_, _, rep_wait) = mk(lockstep_limit_policy()).run_semi_async(
+    let (_, _, rep_wait) = run_semi_async(
+        &mk(lockstep_limit_policy()),
         &groups,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
         &AsyncConfig::default(),
     );
-    let (_, _, rep_cut) = mk(FaultPolicy {
-        quorum_fraction: 0.7,
-        deadline_factor: 1.5,
-        ..FaultPolicy::default()
-    })
-    .run_semi_async(
+    let (_, _, rep_cut) = run_semi_async(
+        &mk(FaultPolicy {
+            quorum_fraction: 0.7,
+            deadline_factor: 1.5,
+            ..FaultPolicy::default()
+        }),
         &groups,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
         &AsyncConfig::default(),
     );
     assert!(
@@ -484,12 +520,8 @@ fn self_healing_no_churn_limit_is_bit_identical() {
             )
             .with_faults(plan.clone(), policy, &topo)
         };
-        let (h_static, p_static, rep_static) = mk().run_semi_async(
-            &groups,
-            &FedAvg,
-            SamplingStrategy::ESRCov,
-            &AsyncConfig::default(),
-        );
+        let (h_static, p_static, rep_static) =
+            run_semi_async(&mk(), &groups, &AsyncConfig::default());
         let (h_heal, p_heal, rep_heal, membership) = mk()
             .run_semi_async_self_healing(
                 &algo,
@@ -569,4 +601,38 @@ fn churned_semi_async_run_heals_deterministically() {
         assert!(r.clock_s >= prev, "emulated clock went backwards");
         prev = r.clock_s;
     }
+}
+
+#[test]
+fn semi_async_run_outlives_every_group_dissolving() {
+    // Every client departs within the horizon, so healing dissolves every
+    // group: the remaining rounds sample from no groups at all and must
+    // be held, not abort the run.
+    let (mut cfg, model, part, topo, _, train, test) = world(66);
+    cfg.global_rounds = 8;
+    let churn = gfl_faults::ChurnPlan {
+        seed: 75 + seed_offset(),
+        horizon: 4,
+        departure_fraction: 1.0,
+        arrival_fraction: 0.0,
+        flap_prob: 0.0,
+    };
+    let algo = CovGrouping {
+        min_group_size: 2,
+        max_cov: 1.0,
+    };
+    let (history, params, report, membership) = Trainer::new(cfg, model, train, part, test)
+        .with_churn(churn, RegroupPolicy::default())
+        .run_semi_async_self_healing(
+            &algo,
+            &topo,
+            &FedAvg,
+            SamplingStrategy::ESRCov,
+            &AsyncConfig::default(),
+        )
+        .unwrap();
+    assert!(membership.groups.is_empty(), "{:?}", membership.groups);
+    assert_eq!(report.rounds.len(), 8);
+    assert!(history.fault_summary().rounds_held > 0);
+    assert!(params.iter().all(|w| w.is_finite()));
 }

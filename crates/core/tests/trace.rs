@@ -53,7 +53,9 @@ fn paper_shaped_trace_round_trips_and_covers_rounds() {
     let (trainer, groups, rounds) = paper_shaped();
     let obs = TraceCollector::new();
     let trainer = trainer.with_observer(std::sync::Arc::clone(&obs));
-    let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let history = trainer
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
     assert_eq!(history.records().len(), rounds);
     let trace = obs.finish(1);
 
@@ -154,7 +156,7 @@ fn streaming_collector_keeps_span_memory_bounded_on_a_paper_shaped_run() {
     )
     .expect("open trace sink");
     let trainer = trainer.with_observer(std::sync::Arc::clone(&obs));
-    trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    trainer.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
 
     let bound = obs.span_buffer_bound();
     assert_eq!(bound, 4 * gfl_obs::SHARDS);

@@ -64,7 +64,9 @@ fn main() {
             .sum::<f64>()
             / groups.len() as f64;
         let trainer = world.trainer(world.config(AggregationWeighting::Standard));
-        let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let history = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
         let acc = history.accuracy_within_cost(scale.budget);
         println!(
             "{name:9} {:3} groups  mean CoV {mean_cov:.3}  mean gamma {mean_gamma:.3}  accuracy {acc:.4}",

@@ -4,16 +4,14 @@
 //! case, our design of randomly selecting the first client for each group
 //! becomes critical and useful").
 
-use gfl_core::cov::group_cov;
+use gfl_core::driver::{RunSpec, Runtime};
 use gfl_core::engine::form_groups_per_edge;
 use gfl_core::grouping::CovGrouping;
-use gfl_core::history::RunHistory;
 use gfl_core::local::FedAvg;
 use gfl_core::sampling::AggregationWeighting;
 use gfl_core::sampling::SamplingStrategy;
 use gfl_experiments::emit::{f, print_series, to_csv, write_csv};
 use gfl_experiments::world::{ExpScale, World};
-use gfl_tensor::init;
 
 fn main() {
     let mut scale = ExpScale::from_env();
@@ -30,38 +28,38 @@ fn main() {
 
     for (name, regroup_every) in [("static", None), ("regroup_every_12", Some(12usize))] {
         let trainer = world.trainer(world.config(AggregationWeighting::Stabilized));
-        let mut params = world.model.init_params(&mut init::rng(world.seed));
-        let mut ledger = trainer.ledger_for(&FedAvg);
-        let mut history = RunHistory::default();
-        let chunk = regroup_every.unwrap_or(scale.global_rounds);
-        let mut t = 0;
-        let mut epoch = 0u64;
-        while t < scale.global_rounds {
+        let spec = RunSpec::new(Runtime::Lockstep, SamplingStrategy::ESRCov);
+        let membership = |epoch: u64| {
             let groups = form_groups_per_edge(
                 &algo,
                 &world.topology,
                 &world.partition.label_matrix,
                 world.seed.wrapping_add(epoch * 7919),
             );
-            let covs: Vec<f32> = groups
-                .iter()
-                .map(|g| group_cov(&world.partition.label_matrix, g))
-                .collect();
-            let probs = SamplingStrategy::ESRCov.probabilities(&covs);
-            let rounds = chunk.min(scale.global_rounds - t);
-            trainer.run_resumable(
-                &groups,
-                &FedAvg,
-                &probs,
-                &mut params,
-                &mut ledger,
-                &mut history,
-                t,
-                rounds,
-            );
-            t += rounds;
-            epoch += 1;
+            trainer.frozen_membership(&groups, spec.sampling)
+        };
+        let mut state = trainer.start(&FedAvg, membership(0));
+        let chunk = regroup_every.unwrap_or(scale.global_rounds);
+        let budget = trainer.config().cost_budget;
+        for (epoch, t) in (0..scale.global_rounds).step_by(chunk).enumerate() {
+            // A spent budget ends the run, not just the chunk: both arms
+            // stop at the same cost.
+            if budget.is_some_and(|b| state.ledger.total() >= b) {
+                break;
+            }
+            // Each chunk re-forms the groups and resumes the same model,
+            // ledger and history over them.
+            state.membership = membership(epoch as u64);
+            trainer
+                .advance(
+                    &spec,
+                    &mut state,
+                    &FedAvg,
+                    chunk.min(scale.global_rounds - t),
+                )
+                .expect("a frozen membership never regroups");
         }
+        let history = state.history;
         for r in history.records() {
             rows.push(vec![
                 name.to_string(),

@@ -37,7 +37,9 @@ fn main() {
     ] {
         let trainer = world.trainer(world.config(weighting));
         // ESRCoV makes some p_g minuscule — the stress case of §6.2.
-        let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let history = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
         for r in history.records() {
             rows.push(vec![
                 name.to_string(),

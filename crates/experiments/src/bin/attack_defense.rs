@@ -107,7 +107,9 @@ fn main() {
                 .trainer(world.config(AggregationWeighting::Standard))
                 .with_adversary(plan.clone())
                 .with_robust_agg(rule);
-            let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+            let history = trainer
+                .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+                .0;
             let asr = history
                 .asr_records()
                 .iter()

@@ -45,7 +45,9 @@ fn main() {
             world.partition.clone(),
             world.test.clone(),
         );
-        let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let history = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
         for r in history.records() {
             rows.push(vec![
                 name.to_string(),

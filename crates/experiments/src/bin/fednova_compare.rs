@@ -65,9 +65,13 @@ fn main() {
             if nova {
                 let strategy =
                     FedNova::from_sizes(&partition.sizes(), cfg.local_rounds, cfg.batch_size);
-                trainer.run(&groups, &strategy, SamplingStrategy::ESRCov)
+                trainer
+                    .run_returning_params(&groups, &strategy, SamplingStrategy::ESRCov)
+                    .0
             } else {
-                trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov)
+                trainer
+                    .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+                    .0
             }
         };
         let avg = run(false).accuracy_within_cost(scale.budget);

@@ -43,7 +43,7 @@ fn main() {
             world.seed,
         );
         let trainer = world.trainer(world.config(AggregationWeighting::Standard));
-        let history = trainer.run(&groups, &FedAvg, sampling);
+        let history = trainer.run_returning_params(&groups, &FedAvg, sampling).0;
         for r in history.records() {
             rows.push(vec![
                 name.to_string(),

@@ -33,7 +33,9 @@ fn main() {
             world.seed,
         );
         let trainer = world.trainer(world.config(AggregationWeighting::Standard));
-        let history = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+        let history = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+            .0;
         for r in history.records() {
             rows.push(vec![
                 gs.to_string(),

@@ -38,7 +38,7 @@ fn main() {
         // Biased Line-15 weighting throughout: the paper's Fig. 7 studies
         // the sampling emphasis, not the unbiasedness correction.
         let trainer = world.trainer(world.config(AggregationWeighting::Standard));
-        let history = trainer.run(&groups, &FedAvg, strat);
+        let history = trainer.run_returning_params(&groups, &FedAvg, strat).0;
         for r in history.records() {
             rows.push(vec![
                 strat.name().to_string(),

@@ -113,12 +113,15 @@ fn main() {
         let trainer = world
             .trainer(world.config(AggregationWeighting::Standard))
             .with_faults(straggler_plan(seed), policy, &world.topology);
-        let (history, _, report) = trainer.run_semi_async(
-            &groups,
-            &FedAvg,
+        let spec = RunSpec::new(
+            Runtime::SemiAsync(AsyncConfig::default()),
             SamplingStrategy::ESRCov,
-            &AsyncConfig::default(),
         );
+        let mut state = trainer.start(&FedAvg, trainer.frozen_membership(&groups, spec.sampling));
+        trainer
+            .advance(&spec, &mut state, &FedAvg, trainer.config().global_rounds)
+            .expect("a frozen membership never regroups");
+        let (history, report) = (state.history, state.report);
         let last = history.records().last().expect("run produced records");
         let accuracy = f64::from(last.accuracy);
         let clock = report.final_clock_s();

@@ -46,7 +46,9 @@ fn main() {
         cfg.local_rounds = e;
         cfg.sampled_groups = s;
         let trainer = world.trainer(cfg);
-        let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let history = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
         let last = history.records().last().unwrap();
         let acc = history.accuracy_within_cost(scale.budget);
         println!(

@@ -42,7 +42,9 @@ fn main() {
             let avg_cov = mean_group_cov(&world.partition.label_matrix, &groups);
 
             let trainer = world.trainer(world.config(AggregationWeighting::Stabilized));
-            let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+            let history = trainer
+                .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+                .0;
             let acc = history.accuracy_within_cost(scale.budget);
 
             println!(

@@ -113,20 +113,28 @@ pub fn run_method(method: Method, world: &World, knobs: GroupingKnobs) -> RunHis
             // weighting); Eq. 4/35 corrections are studied separately in
             // the ablation_weighting binary.
             let trainer = world.trainer(world.config(AggregationWeighting::Standard));
-            trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            trainer
+                .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+                .0
         }
         Method::FedAvg | Method::Ouea | Method::Share => {
             let trainer = world.trainer(world.config(AggregationWeighting::Standard));
-            trainer.run(&groups, &FedAvg, SamplingStrategy::Random)
+            trainer
+                .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+                .0
         }
         Method::FedProx => {
             let trainer = world.trainer(world.config(AggregationWeighting::Standard));
-            trainer.run(&groups, &FedProx { mu: 0.1 }, SamplingStrategy::Random)
+            trainer
+                .run_returning_params(&groups, &FedProx { mu: 0.1 }, SamplingStrategy::Random)
+                .0
         }
         Method::Scaffold => {
             let trainer = world.trainer(world.config(AggregationWeighting::Standard));
             let strategy = Scaffold::new(world.model.param_len(), world.partition.num_clients());
-            trainer.run(&groups, &strategy, SamplingStrategy::Random)
+            trainer
+                .run_returning_params(&groups, &strategy, SamplingStrategy::Random)
+                .0
         }
         Method::FedClar => {
             let trainer = world.trainer(world.config(AggregationWeighting::Standard));

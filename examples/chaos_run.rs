@@ -65,7 +65,9 @@ fn main() {
     };
 
     // Clean baseline.
-    let clean = make_trainer().run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let clean = make_trainer()
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
 
     // Same seeds, same data — but 20% of devices straggle at ~4×, clients
     // crash and corrupt updates at the moderate plan's rates, edge 0 goes
@@ -73,7 +75,8 @@ fn main() {
     let plan = FaultPlan::moderate(97);
     let faulted = make_trainer()
         .with_faults(plan, FaultPolicy::default(), &topology)
-        .run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
 
     println!("round   clean-acc  faulted-acc");
     let faulted_at = |round: usize| {

@@ -3,7 +3,7 @@
 //! under the same churn, side by side.
 //!
 //! Demonstrates the online-membership subsystem (`gfl_faults::ChurnPlan`
-//! with `Trainer::with_churn` and `Trainer::run_self_healing`): clients
+//! with `Trainer::with_churn` and a healing `RunSpec`): clients
 //! permanently depart, late arrivals are placed into the CoV-best group
 //! on their edge, flapping clients miss single rounds, degraded groups
 //! are dissolved and their orphans migrated — all deterministically, so
@@ -68,7 +68,9 @@ fn main() {
     };
 
     // Static baseline: nobody leaves, nobody joins.
-    let clean = make_trainer().run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let clean = make_trainer()
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
 
     // The churn: 20% of clients permanently depart within the horizon,
     // 15% arrive late, and any present client flaps (misses one round)
@@ -81,19 +83,33 @@ fn main() {
         flap_prob: 0.03,
     };
 
+    // Both churned runs drive the same healing spec; the policy decides
+    // whether the partition is ever repaired.
+    let spec =
+        RunSpec::new(Runtime::Lockstep, SamplingStrategy::ESRCov).healing(&grouping, &topology);
+    let churned = |policy: RegroupPolicy| {
+        let trainer = make_trainer().with_churn(plan.clone(), policy);
+        let membership = trainer
+            .form_membership(&grouping, &topology, spec.sampling)
+            .expect("round-0 formation");
+        let mut state = trainer.start(&FedAvg, membership);
+        trainer
+            .advance(&spec, &mut state, &FedAvg, config.global_rounds)
+            .expect("regrouping");
+        state
+    };
+
     // Self-healing: the monitor dissolves degraded groups, migrates
     // orphans to the CoV-best group on their edge, and places arrivals.
-    let (healed, _, membership) = make_trainer()
-        .with_churn(plan.clone(), RegroupPolicy::default())
-        .run_self_healing(&grouping, &topology, &FedAvg, SamplingStrategy::ESRCov)
-        .expect("self-healing run");
+    let RunState {
+        history: healed,
+        membership,
+        ..
+    } = churned(RegroupPolicy::default());
 
     // Frozen: the founding partition is kept as-is; departures just
     // shrink groups and arrivals are never placed.
-    let (frozen, _, _) = make_trainer()
-        .with_churn(plan, RegroupPolicy::frozen())
-        .run_self_healing(&grouping, &topology, &FedAvg, SamplingStrategy::ESRCov)
-        .expect("frozen run");
+    let frozen = churned(RegroupPolicy::frozen()).history;
 
     println!("round   clean-acc  healed-acc  frozen-acc");
     let at = |h: &RunHistory, round: usize| {

@@ -120,7 +120,9 @@ fn main() {
             partition.clone(),
             test.clone(),
         );
-        let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let history = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            .0;
         println!(
             "{:10} groups={:3}  mean CoV {quality:.3}  best accuracy {:.4}",
             algo.name(),

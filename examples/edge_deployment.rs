@@ -91,7 +91,7 @@ fn main() {
             partition.clone(),
             test.clone(),
         );
-        let history = trainer.run(&groups, &FedAvg, sampling);
+        let history = trainer.run_returning_params(&groups, &FedAvg, sampling).0;
         let final_cost = history.records().last().unwrap().cost;
         let best = history.best_accuracy();
         println!(

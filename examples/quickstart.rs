@@ -86,7 +86,9 @@ fn main() {
     if let Some(obs) = &observer {
         trainer = trainer.with_observer(std::sync::Arc::clone(obs));
     }
-    let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let history = trainer
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
 
     // 4. Report.
     println!("\n round      cost  accuracy");

@@ -60,14 +60,13 @@ fn main() {
         partition.clone(),
         test.clone(),
     )
-    .run(&groups, &FedAvg, SamplingStrategy::Random);
+    .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+    .0;
 
     config.secure_aggregation = true;
-    let secure = Trainer::new(config, model, train, partition, test).run(
-        &groups,
-        &FedAvg,
-        SamplingStrategy::Random,
-    );
+    let secure = Trainer::new(config, model, train, partition, test)
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+        .0;
 
     println!("round | plain acc | secagg acc");
     for (p, s) in plain.records().iter().zip(secure.records()) {

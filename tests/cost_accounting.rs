@@ -114,7 +114,9 @@ fn strategy_cost_ordering_fedavg_fedprox_scaffold() {
 #[test]
 fn run_total_cost_equals_sum_of_round_increments() {
     let (trainer, groups) = world(3);
-    let h = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+    let h = trainer
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+        .0;
     // eval_every=1 so every round is recorded; increments must all be
     // positive and the final total equals the last record.
     let records = h.records();
@@ -139,7 +141,9 @@ fn speech_task_is_cheaper_per_round_than_vision() {
             trainer.partition().clone(),
             trainer.test_data().clone(),
         );
-        let h = t.run(&groups, &FedAvg, SamplingStrategy::Random);
+        let h = t
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+            .0;
         h.records().last().unwrap().cost
     };
     assert!(run_cost(Task::Speech) < run_cost(Task::Vision));

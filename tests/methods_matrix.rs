@@ -82,10 +82,20 @@ fn fedavg_and_fedprox_complete_on_all_groupings() {
             ("FedProx", &FedProx { mu: 0.1 } as &dyn LocalUpdate),
         ] {
             let h = match name {
-                "FedAvg" => w.trainer.run(&groups, &FedAvg, SamplingStrategy::Random),
-                _ => w
-                    .trainer
-                    .run(&groups, &FedProx { mu: 0.1 }, SamplingStrategy::Random),
+                "FedAvg" => {
+                    w.trainer
+                        .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+                        .0
+                }
+                _ => {
+                    w.trainer
+                        .run_returning_params(
+                            &groups,
+                            &FedProx { mu: 0.1 },
+                            SamplingStrategy::Random,
+                        )
+                        .0
+                }
             };
             let _ = strategy; // names drive dispatch above
             assert!(
@@ -111,8 +121,14 @@ fn scaffold_completes_and_uses_costlier_ops() {
         w.trainer.model().param_len(),
         w.trainer.partition().num_clients(),
     );
-    let h_scaffold = w.trainer.run(&groups, &strategy, SamplingStrategy::Random);
-    let h_fedavg = w.trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+    let h_scaffold = w
+        .trainer
+        .run_returning_params(&groups, &strategy, SamplingStrategy::Random)
+        .0;
+    let h_fedavg = w
+        .trainer
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+        .0;
     assert!(h_scaffold.records().last().unwrap().accuracy.is_finite());
     // SCAFFOLD must be charged more per round (scaffold secagg + factor).
     let c_scaffold = h_scaffold.records().last().unwrap().cost;
@@ -193,7 +209,9 @@ fn group_fel_configuration_beats_plain_fedavg_on_skewed_data() {
         &partition.label_matrix,
         9,
     );
-    let h_fel = trainer.run(&cov_groups, &FedAvg, SamplingStrategy::ESRCov);
+    let h_fel = trainer
+        .run_returning_params(&cov_groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
 
     let mut cfg2 = config;
     cfg2.weighting = AggregationWeighting::Standard;
@@ -210,7 +228,9 @@ fn group_fel_configuration_beats_plain_fedavg_on_skewed_data() {
         &partition.label_matrix,
         9,
     );
-    let h_avg = trainer2.run(&rand_groups, &FedAvg, SamplingStrategy::Random);
+    let h_avg = trainer2
+        .run_returning_params(&rand_groups, &FedAvg, SamplingStrategy::Random)
+        .0;
 
     assert!(
         h_fel.best_accuracy() >= h_avg.best_accuracy() - 0.05,

@@ -2,6 +2,7 @@
 //! → sampling → hierarchical training → history, across crate boundaries.
 
 use gfl_core::cov::group_cov;
+use gfl_core::driver::{RunSpec, Runtime};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
 use gfl_core::grouping::{CovGrouping, GroupingAlgorithm, RandomGrouping};
 use gfl_core::local::FedAvg;
@@ -59,7 +60,9 @@ fn full_pipeline_learns_and_accounts_costs() {
     // solve the tiny task at round 0, leaving no headroom to demonstrate
     // improvement.
     let (trainer, groups, _) = build_world(3, 0.5);
-    let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let history = trainer
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        .0;
     assert!(history.records().len() >= 5);
     // Learning happened.
     let first = history.records().first().unwrap();
@@ -97,7 +100,7 @@ fn every_sampling_strategy_completes_on_every_weighting() {
                 trainer.partition().clone(),
                 trainer.test_data().clone(),
             );
-            let h = t.run(&groups, &FedAvg, sampling);
+            let h = t.run_returning_params(&groups, &FedAvg, sampling).0;
             assert!(
                 !h.is_empty(),
                 "{sampling:?}/{weighting:?} produced no history"
@@ -157,8 +160,12 @@ fn histories_are_reproducible_across_trainer_instances() {
     let (t1, groups, _) = build_world(4, 0.5);
     let (t2, groups2, _) = build_world(4, 0.5);
     assert_eq!(groups, groups2, "grouping must be deterministic");
-    let h1 = t1.run(&groups, &FedAvg, SamplingStrategy::SRCov);
-    let h2 = t2.run(&groups2, &FedAvg, SamplingStrategy::SRCov);
+    let h1 = t1
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::SRCov)
+        .0;
+    let h2 = t2
+        .run_returning_params(&groups2, &FedAvg, SamplingStrategy::SRCov)
+        .0;
     for (a, b) in h1.records().iter().zip(h2.records()) {
         assert_eq!(a.accuracy, b.accuracy);
         assert_eq!(a.cost, b.cost);
@@ -168,37 +175,15 @@ fn histories_are_reproducible_across_trainer_instances() {
 
 #[test]
 fn resumable_sessions_match_single_run() {
-    let (trainer, groups, labels) = build_world(5, 0.5);
-    let covs: Vec<f32> = groups.iter().map(|g| group_cov(&labels, g)).collect();
-    let probs = SamplingStrategy::Random.probabilities(&covs);
+    let (trainer, groups, _) = build_world(5, 0.5);
+    let spec = RunSpec::new(Runtime::Lockstep, SamplingStrategy::Random);
 
     // Two chunks of 5 rounds with the same groups, vs internals reused.
-    let mut params = trainer
-        .model()
-        .init_params(&mut gfl_tensor::init::rng(trainer.config().seed));
-    let mut ledger = trainer.ledger_for(&FedAvg);
-    let mut history = gfl_core::history::RunHistory::default();
-    trainer.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut params,
-        &mut ledger,
-        &mut history,
-        0,
-        5,
-    );
-    let mid_cost = ledger.total();
-    trainer.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut params,
-        &mut ledger,
-        &mut history,
-        5,
-        5,
-    );
+    let mut state = trainer.start(&FedAvg, trainer.frozen_membership(&groups, spec.sampling));
+    trainer.advance(&spec, &mut state, &FedAvg, 5).unwrap();
+    let mid_cost = state.ledger.total();
+    trainer.advance(&spec, &mut state, &FedAvg, 5).unwrap();
+    let (ledger, history, params) = (state.ledger, state.history, state.params);
     assert!(ledger.total() > mid_cost);
     assert_eq!(
         history.records().last().unwrap().round,

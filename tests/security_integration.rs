@@ -50,13 +50,12 @@ fn secure_aggregation_training_tracks_plain_training() {
         partition.clone(),
         test.clone(),
     )
-    .run(&groups, &FedAvg, SamplingStrategy::Random);
+    .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+    .0;
     config.secure_aggregation = true;
-    let secure = Trainer::new(config, gfl_nn::zoo::tiny(4, 3), train, partition, test).run(
-        &groups,
-        &FedAvg,
-        SamplingStrategy::Random,
-    );
+    let secure = Trainer::new(config, gfl_nn::zoo::tiny(4, 3), train, partition, test)
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+        .0;
     for (p, s) in plain.records().iter().zip(secure.records()) {
         assert!(
             (p.accuracy - s.accuracy).abs() < 0.05,
@@ -219,7 +218,9 @@ fn client_dropout_training_stays_stable_and_uses_recovery_path() {
             partition.clone(),
             test.clone(),
         );
-        let h = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+        let h = trainer
+            .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+            .0;
         let last = h.records().last().unwrap();
         assert!(
             last.accuracy.is_finite() && last.accuracy > 0.3,
@@ -262,7 +263,9 @@ fn full_dropout_round_leaves_group_model_unchanged() {
         dropout_prob: 1.0,
     };
     let trainer = Trainer::new(cfg, gfl_nn::zoo::tiny(4, 3), train, partition, test);
-    let h = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+    let h = trainer
+        .run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+        .0;
     let accs: Vec<f32> = h.records().iter().map(|r| r.accuracy).collect();
     assert!(
         accs.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-6),
