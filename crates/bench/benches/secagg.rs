@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gfl_bench::random_vectors;
-use gfl_secagg::{ExactSecAgg, SecAggSession};
+use gfl_secagg::SecAggSession;
 use std::hint::black_box;
 
 fn bench_secagg(c: &mut Criterion) {
@@ -25,29 +25,16 @@ fn bench_secagg(c: &mut Criterion) {
         });
 
         // Dropout recovery: 20% of the group drops after masking.
-        let masked: Vec<Vec<f32>> = (0..g)
+        let masked: Vec<Vec<u32>> = (0..g)
             .map(|i| session.mask(i as u32, &updates[i]).0)
             .collect();
         let survivors: Vec<u32> = (0..g as u32).filter(|&m| m % 5 != 0).collect();
-        let masked_surv: Vec<Vec<f32>> = survivors
+        let masked_surv: Vec<Vec<u32>> = survivors
             .iter()
             .map(|&m| masked[m as usize].clone())
             .collect();
         group.bench_with_input(BenchmarkId::new("unmask_with_dropouts", g), &g, |b, _| {
             b.iter(|| black_box(session.unmask_sum(&survivors, &masked_surv)));
-        });
-    }
-    group.finish();
-
-    // The bit-exact fixed-point ring variant, for the float-vs-ring
-    // overhead comparison.
-    let mut group = c.benchmark_group("exact_ring_secagg");
-    group.sample_size(10);
-    for &g in &[5usize, 20] {
-        let updates = random_vectors(g, dim, g as u64 + 7);
-        let session = ExactSecAgg::new((0..g as u32).collect(), dim, 11);
-        group.bench_with_input(BenchmarkId::new("mask_one_client", g), &g, |b, _| {
-            b.iter(|| black_box(session.mask(0, &updates[0])));
         });
     }
     group.finish();

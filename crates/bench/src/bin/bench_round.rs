@@ -3,8 +3,10 @@
 //! Runs a paper_vision-shaped workload (§7.2: K=5, E=2, 12 sampled groups,
 //! batch 32, vision model) for a few global rounds at each worker-thread
 //! count, measuring rounds/sec and heap allocations per round via a
-//! counting global allocator, then writes the results to
-//! `BENCH_ROUND.json` (and stdout).
+//! counting global allocator, then merges the results into
+//! `BENCH_ROUND.json` and prints the merged file. Only the sections this
+//! harness measures are replaced; others, such as `bench_scale`'s `scale`,
+//! are kept.
 //!
 //! Usage: `cargo run --release -p gfl-bench --bin bench_round [-- --rounds N]`
 //!
@@ -317,7 +319,6 @@ fn main() {
         }),
         "note": "results are bit-identical across thread counts; speedup only materializes when cores >= threads",
     });
-    let pretty = serde_json::to_string_pretty(&report).unwrap();
-    std::fs::write("BENCH_ROUND.json", format!("{pretty}\n")).expect("write BENCH_ROUND.json");
-    println!("{pretty}");
+    let merged = gfl_bench::merge_bench_sections("BENCH_ROUND.json", report);
+    println!("{}", serde_json::to_string_pretty(&merged).unwrap());
 }

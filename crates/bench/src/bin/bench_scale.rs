@@ -4,10 +4,9 @@
 //! `gfl-trace regress --max-formation-seconds` can *gate* the sub-second
 //! formation claim instead of asserting it in prose (docs/SCALE.md).
 //!
-//! Unlike `bench_round` (which owns the file and overwrites it), this
-//! binary read-modify-writes: every section `bench_round` produced is
-//! preserved, only `scale` is replaced. Run order in CI is therefore
-//! irrelevant as long as `bench_round` runs first when both run.
+//! Like `bench_round`, this binary read-modify-writes the file through
+//! `gfl_bench::merge_bench_sections`: only `scale` is replaced, so the two
+//! harnesses may run in either order.
 //!
 //! `GFL_SCALE_CLIENTS` overrides the population size (default 1_000_000)
 //! for quick local iteration; the emitted key names stay `*_1m` because
@@ -103,19 +102,7 @@ fn main() {
         "note": "formation_seconds_1m and regroup_seconds_1m are gated sub-second by `gfl-trace regress --max-formation-seconds` in CI's scale-smoke job",
     });
 
-    let mut report: serde_json::Value = std::fs::read_to_string("BENCH_ROUND.json")
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_else(|| serde_json::json!({}));
-    match &mut report {
-        serde_json::Value::Object(pairs) => {
-            pairs.retain(|(k, _)| k != "scale");
-            pairs.push(("scale".to_string(), scale));
-        }
-        _ => panic!("BENCH_ROUND.json must hold a JSON object"),
-    }
-    let pretty = serde_json::to_string_pretty(&report).unwrap();
-    std::fs::write("BENCH_ROUND.json", format!("{pretty}\n")).expect("write BENCH_ROUND.json");
+    gfl_bench::merge_bench_sections("BENCH_ROUND.json", serde_json::json!({ "scale": scale }));
 
     println!(
         "scale: {clients} clients — build {build_s:.3}s, formation {formation_s:.3}s \

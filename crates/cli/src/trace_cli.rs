@@ -509,6 +509,10 @@ fn array<'a>(v: &'a Value, key: &str) -> &'a [Value] {
 /// `regroup_seconds_1m` are gated *absolutely* against
 /// `--max-formation-seconds` (default 1.0) — the paper-scale sub-second
 /// formation claim, checked rather than asserted.
+///
+/// A gated section (`results`, `simd`, `scale`) that the baseline has and
+/// the current snapshot lacks is itself a failure: a harness that stopped
+/// writing a section must not switch its gate off silently.
 fn regress(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, String> {
     let paths = expect_paths(paths, 2, "baseline and current BENCH_ROUND.json")?;
     let min_rps: f64 = args
@@ -545,6 +549,19 @@ fn regress(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, St
             if ok { "PASS" } else { "FAIL" }
         );
     };
+
+    let mut missing = 0usize;
+    for section in ["results", "simd", "scale"] {
+        if baseline.get(section).is_some() && current.get(section).is_none() {
+            missing += 1;
+            check(
+                out,
+                format!("section {section}"),
+                false,
+                "in the baseline, missing from the current snapshot".into(),
+            );
+        }
+    }
 
     for cur_row in array(&current, "results") {
         let Some(threads) = num(cur_row, "threads") else {
@@ -636,7 +653,7 @@ fn regress(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, St
         }
     }
 
-    if checks == 0 {
+    if checks == missing {
         return Err("no comparable entries between baseline and current".into());
     }
     writeln!(

@@ -216,6 +216,21 @@ fn regress_gates_the_scale_section_sub_second() {
 }
 
 #[test]
+fn regress_fails_when_a_gated_section_goes_missing() {
+    let base = fixture("bench_baseline.json");
+    let cur = fixture("bench_missing_simd.json");
+    let (code, out) = gfl_trace(&format!("regress {} {}", base.display(), cur.display()));
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains("FAIL section simd"), "{out}");
+    // The sections both snapshots carry are still compared.
+    assert!(out.contains("PASS rounds_per_sec[threads=1]"), "{out}");
+    assert!(out.contains("REGRESSION"), "{out}");
+    // A section only the current snapshot has is not a failure.
+    let (code, out) = gfl_trace(&format!("regress {} {}", cur.display(), base.display()));
+    assert_eq!(code, 0, "{out}");
+}
+
+#[test]
 fn regress_with_no_overlap_is_an_error() {
     let base = fixture("bench_baseline.json");
     let empty = tmp("empty_bench.json");

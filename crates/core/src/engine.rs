@@ -396,6 +396,9 @@ struct GroupCtx<'g> {
 struct Unit<'a> {
     gi: usize,
     client: usize,
+    /// Size of the client's group: the SecAgg roster its update must
+    /// encode for.
+    roster: usize,
     /// The group model this client starts from (`x^g_{t,k}`).
     start: &'a [Scalar],
     deadline: Option<(f64, f64)>,
@@ -694,12 +697,6 @@ impl Trainer {
             flip_eval,
         });
         self
-    }
-
-    /// The adversary plan attached via [`Trainer::with_adversary`], if the
-    /// plan was not clean.
-    pub fn adversary_plan(&self) -> Option<&AdversaryPlan> {
-        self.adversary.as_ref().map(|a| &a.plan)
     }
 
     /// Selects the group-level aggregation rule for Line 14. The default
@@ -1418,6 +1415,7 @@ impl Trainer {
                     units.push(Unit {
                         gi: *gi,
                         client,
+                        roster: group.len(),
                         start,
                         deadline: *deadline,
                         timed_cut: group_cuts.and_then(|g| g.cut_for(k, mi)),
@@ -1846,28 +1844,35 @@ impl Trainer {
                     *w = Scalar::NAN;
                 }
             }
-            if fs.policy.reject_non_finite && !gfl_defense::is_update_finite(&slot.buf) {
-                // An adversary whose amplified update overflowed is caught
-                // here: the injection becomes an interception.
-                if slot.attack.take().is_some() {
-                    slot.attack = Some(AttackEvent::AttackFiltered {
-                        round: t,
-                        group_round: k,
-                        group: unit.gi,
-                        client,
-                        stage: DefenseStage::NonFiniteGate,
-                    });
-                }
-                slot.event = Some(FaultEvent::CorruptRejected {
+            rejected = fs.policy.reject_non_finite && !gfl_defense::is_update_finite(&slot.buf);
+        }
+        // SecAgg encodes the *weighted* update for the group's roster. The
+        // weights are ≤ 1, so an unweighted update that encodes guarantees
+        // the weighted one does; one that cannot is rejected here, exactly
+        // like a non-finite one, rather than panicking the masking.
+        if !rejected && cfg.secure_aggregation {
+            rejected = gfl_secagg::check(&slot.buf, unit.roster).is_err();
+        }
+        if rejected {
+            // An adversary whose amplified update overflowed (or left the
+            // SecAgg ring's range) is caught here: the injection becomes
+            // an interception.
+            if slot.attack.take().is_some() {
+                slot.attack = Some(AttackEvent::AttackFiltered {
                     round: t,
                     group_round: k,
                     group: unit.gi,
                     client,
+                    stage: DefenseStage::NonFiniteGate,
                 });
-                rejected = true;
             }
-        }
-        if !rejected {
+            slot.event = Some(FaultEvent::CorruptRejected {
+                round: t,
+                group_round: k,
+                group: unit.gi,
+                client,
+            });
+        } else {
             slot.live = true;
         }
         // Virtual shards live exactly as long as the unit that trained on
@@ -1902,17 +1907,20 @@ impl Trainer {
         let session = gfl_secagg::SecAggSession::new(members, dim, session_seed);
         let mut survivors = Vec::with_capacity(group.len());
         let mut masked = Vec::with_capacity(group.len());
+        let mut scaled = self.param_pool.take();
         let mut w_iter = weights.iter();
         for (&c, slot) in group.iter().zip(slots.iter()) {
             if !slot.live {
                 continue;
             }
             let w = *w_iter.next().expect("one weight per survivor");
-            let mut scaled = slot.buf.clone();
+            scaled.clear();
+            scaled.extend_from_slice(&slot.buf);
             ops::scale(w, &mut scaled);
             masked.push(session.mask(c as u32, &scaled).0);
             survivors.push(c as u32);
         }
+        self.param_pool.put(scaled);
         let (sum, _) = session.unmask_sum(&survivors, &masked);
         out.copy_from_slice(&sum);
     }

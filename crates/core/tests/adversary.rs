@@ -239,6 +239,39 @@ fn non_finite_gate_reclassifies_overflowed_poison() {
 }
 
 #[test]
+fn secure_run_rejects_poison_boosted_past_the_ring_bound() {
+    // A 10⁹ boost keeps the poisoned update finite but puts it far outside
+    // what the 32-bit SecAgg ring can sum for the group. With no fault
+    // policy configured, the secure path itself must reject those uploads
+    // at the client boundary — logged like the non-finite gate's — rather
+    // than panic in the masking or wrap the group sum.
+    let mut w = world(49);
+    w.cfg.secure_aggregation = true;
+    let plan = AdversaryPlan {
+        backdoor_fraction: 0.0,
+        label_flip_fraction: 0.0,
+        model_poison_fraction: 0.3,
+        scale_factor: 1e9,
+        ..AdversaryPlan::moderate(w.cfg.seed)
+    };
+    let (h, p) = w.trainer().with_adversary(plan).run_returning_params(
+        &w.groups,
+        &FedAvg,
+        SamplingStrategy::ESRCov,
+    );
+    let s = h.attack_summary();
+    assert!(s.filtered_non_finite > 0, "range gate never fired: {s}");
+    assert_eq!(s.model_poison, 0, "out-of-range poison still logged: {s}");
+    assert_eq!(
+        h.fault_summary().corrupt_rejected,
+        s.filtered_non_finite,
+        "every rejected upload is logged as CorruptRejected"
+    );
+    assert!(p.iter().all(|v| v.is_finite()), "poison reached the model");
+    assert_eq!(h.records().len(), w.cfg.global_rounds / w.cfg.eval_every);
+}
+
+#[test]
 fn attacks_survive_secure_aggregation() {
     // Poison is applied before masking, so SecAgg must neither strip the
     // attack nor break the run: the attacked secure trajectory diverges

@@ -272,11 +272,6 @@ impl TraceCollector {
         &self.metrics
     }
 
-    /// Number of rounds recorded so far.
-    pub fn rounds_recorded(&self) -> usize {
-        self.rounds.lock().unwrap().len()
-    }
-
     /// Spans currently buffered in the shards (not yet streamed out).
     pub fn buffered_spans(&self) -> usize {
         self.buffered.load(Ordering::Relaxed)

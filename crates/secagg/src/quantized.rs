@@ -1,191 +1,51 @@
-//! Fixed-point secure aggregation — the faithful arithmetic of Bonawitz et
-//! al., where masking happens in a modular integer ring so cancellation is
-//! *bit-exact* rather than up to f32 rounding.
-//!
-//! Clients quantize their f32 updates to `i64` fixed-point with a shared
-//! scale, add pairwise PRG masks modulo `2^48`, and the server's modular
-//! sum recovers exactly `Σ round(x_i · scale)`. The only error left is the
-//! deterministic quantization error, bounded by `n / (2·scale)` per
-//! coordinate for an `n`-client group.
-//!
-//! The float pipeline in [`crate::SecAggSession`] is what the training
-//! engine uses (simpler, error ≪ SGD noise); this module exists because a
-//! deployment-grade release needs the exact path, and because tests can
-//! assert *equality*, not just closeness.
+//! [`ExactSecAgg`]: a thin shim over [`SecAggSession`], the crate's one
+//! masking arithmetic, for callers that name it and want the ring vectors
+//! and the sum without the work counters.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use crate::{ClientId, SecAggSession};
 
-/// Modulus `2^48`: leaves headroom for sums of thousands of 32-bit
-/// fixed-point values without wrap-around ambiguity.
-const MODULUS: u64 = 1 << 48;
-
-/// Fixed-point codec shared by a session's clients.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedPoint {
-    /// Multiplicative scale; `2^16` gives ~4.7 decimal digits.
-    pub scale: f64,
-    /// Values are clamped to ±`clamp` before quantization.
-    pub clamp: f64,
-}
-
-impl Default for FixedPoint {
-    fn default() -> Self {
-        Self {
-            scale: 65536.0,
-            clamp: 1024.0,
-        }
-    }
-}
-
-impl FixedPoint {
-    /// Quantizes one float to the ring.
-    pub fn encode(&self, x: f32) -> u64 {
-        let clamped = f64::from(x).clamp(-self.clamp, self.clamp);
-        let q = (clamped * self.scale).round() as i64;
-        q.rem_euclid(MODULUS as i64) as u64
-    }
-
-    /// Decodes a ring element that represents a (possibly summed) value,
-    /// interpreting the upper half of the ring as negative.
-    pub fn decode(&self, v: u64) -> f32 {
-        let v = v % MODULUS;
-        let signed = if v >= MODULUS / 2 {
-            v as i64 - MODULUS as i64
-        } else {
-            v as i64
-        };
-        (signed as f64 / self.scale) as f32
-    }
-
-    /// Encodes a whole vector.
-    pub fn encode_vec(&self, xs: &[f32]) -> Vec<u64> {
-        xs.iter().map(|&x| self.encode(x)).collect()
-    }
-
-    /// Decodes a whole vector.
-    pub fn decode_vec(&self, vs: &[u64]) -> Vec<f32> {
-        vs.iter().map(|&v| self.decode(v)).collect()
-    }
-}
-
-/// One exact secure-aggregation session over the ring.
+/// [`SecAggSession`] without the [`crate::SecAggCost`] counters.
 #[derive(Debug, Clone)]
-pub struct ExactSecAgg {
-    members: Vec<u32>,
-    dim: usize,
-    session_seed: u64,
-    codec: FixedPoint,
-}
+pub struct ExactSecAgg(SecAggSession);
 
 impl ExactSecAgg {
-    pub fn new(members: Vec<u32>, dim: usize, session_seed: u64) -> Self {
-        assert!(!members.is_empty(), "empty group");
-        let mut sorted = members.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), members.len(), "duplicate member ids");
-        Self {
-            members,
-            dim,
-            session_seed,
-            codec: FixedPoint::default(),
-        }
+    pub fn new(members: Vec<ClientId>, dim: usize, session_seed: u64) -> Self {
+        Self(SecAggSession::new(members, dim, session_seed))
     }
 
-    pub fn codec(&self) -> FixedPoint {
-        self.codec
+    /// [`SecAggSession::mask`] (same panics).
+    pub fn mask(&self, client: ClientId, update: &[f32]) -> Vec<u32> {
+        self.0.mask(client, update).0
     }
 
-    fn pair_seed(&self, a: u32, b: u32) -> u64 {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let mut z = self
-            .session_seed
-            .wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(1 + lo as u64))
-            .wrapping_add(0xBF58476D1CE4E5B9u64.wrapping_mul(1 + hi as u64));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn pair_mask(&self, a: u32, b: u32) -> Vec<u64> {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.pair_seed(a, b));
-        (0..self.dim).map(|_| rng.gen::<u64>() % MODULUS).collect()
-    }
-
-    /// Client-side: quantize + mask.
-    pub fn mask(&self, client: u32, update: &[f32]) -> Vec<u64> {
-        assert!(self.members.contains(&client), "client not in session");
-        assert_eq!(update.len(), self.dim, "dimension mismatch");
-        let mut masked = self.codec.encode_vec(update);
-        for &peer in &self.members {
-            if peer == client {
-                continue;
-            }
-            let mask = self.pair_mask(client, peer);
-            if client < peer {
-                for (m, &mk) in masked.iter_mut().zip(mask.iter()) {
-                    *m = (*m + mk) % MODULUS;
-                }
-            } else {
-                for (m, &mk) in masked.iter_mut().zip(mask.iter()) {
-                    *m = (*m + MODULUS - mk) % MODULUS;
-                }
-            }
-        }
-        masked
-    }
-
-    /// Server-side: modular sum + dropout mask recovery + decode.
-    ///
-    /// Returns exactly `Σ_{i ∈ survivors} dequant(quant(x_i))`.
-    pub fn unmask_sum(&self, survivors: &[u32], masked: &[Vec<u64>]) -> Vec<f32> {
-        assert_eq!(survivors.len(), masked.len(), "roster mismatch");
-        let mut sum = vec![0u64; self.dim];
-        for m in masked {
-            assert_eq!(m.len(), self.dim);
-            for (s, &v) in sum.iter_mut().zip(m.iter()) {
-                *s = (*s + v) % MODULUS;
-            }
-        }
-        for &d in self.members.iter().filter(|m| !survivors.contains(m)) {
-            for &s in survivors {
-                let mask = self.pair_mask(d, s);
-                // Survivor s applied +mask if s < d, else −mask; cancel it.
-                if s < d {
-                    for (acc, &mk) in sum.iter_mut().zip(mask.iter()) {
-                        *acc = (*acc + MODULUS - mk) % MODULUS;
-                    }
-                } else {
-                    for (acc, &mk) in sum.iter_mut().zip(mask.iter()) {
-                        *acc = (*acc + mk) % MODULUS;
-                    }
-                }
-            }
-        }
-        self.codec.decode_vec(&sum)
+    /// [`SecAggSession::unmask_sum`].
+    pub fn unmask_sum(&self, survivors: &[ClientId], masked: &[Vec<u32>]) -> Vec<f32> {
+        self.0.unmask_sum(survivors, masked).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{assert_bitwise, ring_sum};
+    use crate::{decode, encode, SecAggError};
     use proptest::prelude::*;
 
     #[test]
     fn encode_decode_roundtrip_within_quantization_error() {
-        let c = FixedPoint::default();
         for x in [-3.25f32, 0.0, 0.5, 100.125, -999.9] {
-            let err = (c.decode(c.encode(x)) - x).abs();
+            let err = (decode(encode(x, 1).unwrap()) - x).abs();
             assert!(err <= 1.0 / 65536.0 + 1e-6, "x={x} err={err}");
         }
     }
 
     #[test]
-    fn clamping_applies() {
-        let c = FixedPoint::default();
-        assert!((c.decode(c.encode(1e9)) - 1024.0).abs() < 1e-3);
-        assert!((c.decode(c.encode(-1e9)) + 1024.0).abs() < 1e-3);
+    fn out_of_range_is_an_error_not_a_clamp() {
+        assert_eq!(encode(1e9, 1), Err(SecAggError::OutOfRange));
+        assert_eq!(encode(-1e9, 1), Err(SecAggError::OutOfRange));
+        // The bound shrinks with the roster: 2¹⁵/|roster| in value terms.
+        assert!(encode(1000.0, 32).is_ok());
+        assert_eq!(encode(1000.0, 33), Err(SecAggError::OutOfRange));
     }
 
     #[test]
@@ -193,7 +53,6 @@ mod tests {
         let dim = 17;
         let n = 5u32;
         let session = ExactSecAgg::new((0..n).collect(), dim, 9);
-        let codec = session.codec();
         let updates: Vec<Vec<f32>> = (0..n)
             .map(|i| {
                 (0..dim)
@@ -201,50 +60,34 @@ mod tests {
                     .collect()
             })
             .collect();
-        let masked: Vec<Vec<u64>> = updates
+        let masked: Vec<Vec<u32>> = updates
             .iter()
             .enumerate()
             .map(|(i, u)| session.mask(i as u32, u))
             .collect();
         let sum = session.unmask_sum(&(0..n).collect::<Vec<_>>(), &masked);
-        // Bit-exact against the quantized plain sum.
-        for j in 0..dim {
-            let want: f64 = updates
-                .iter()
-                .map(|u| f64::from(codec.decode(codec.encode(u[j]))))
-                .sum();
-            assert!(
-                (f64::from(sum[j]) - want).abs() < 1e-9,
-                "coord {j}: {} vs {want}",
-                sum[j]
-            );
-        }
+        let views: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
+        assert_bitwise(&sum, &ring_sum(&views, n as usize));
     }
 
     #[test]
     fn dropout_recovery_is_exact() {
         let dim = 9;
         let session = ExactSecAgg::new(vec![0, 1, 2, 3, 4], dim, 11);
-        let codec = session.codec();
         let updates: Vec<Vec<f32>> = (0..5).map(|i| vec![i as f32 * 0.25 - 0.5; dim]).collect();
-        let masked: Vec<Vec<u64>> = updates
+        let masked: Vec<Vec<u32>> = updates
             .iter()
             .enumerate()
             .map(|(i, u)| session.mask(i as u32, u))
             .collect();
         let survivors = vec![0u32, 2, 4];
-        let masked_surv: Vec<Vec<u64>> = survivors
+        let masked_surv: Vec<Vec<u32>> = survivors
             .iter()
             .map(|&s| masked[s as usize].clone())
             .collect();
         let sum = session.unmask_sum(&survivors, &masked_surv);
-        for j in 0..dim {
-            let want: f64 = survivors
-                .iter()
-                .map(|&s| f64::from(codec.decode(codec.encode(updates[s as usize][j]))))
-                .sum();
-            assert!((f64::from(sum[j]) - want).abs() < 1e-9);
-        }
+        // Multiples of 2⁻² are exact in the ring: −0.5 + 0 + 0.5.
+        assert_eq!(sum, vec![0.0; dim]);
     }
 
     #[test]
@@ -254,39 +97,41 @@ mod tests {
         let b = vec![0.5f32, 0.25, 50.0];
         let masked = vec![session.mask(0, &a), session.mask(1, &b)];
         let sum = session.unmask_sum(&[0, 1], &masked);
-        assert!((sum[0] + 1.0).abs() < 1e-4);
-        assert!(sum[1].abs() < 1e-4);
-        assert!((sum[2] + 50.0).abs() < 1e-3);
+        assert_eq!(sum, vec![-1.0, 0.0, -50.0]);
     }
 
     proptest! {
+        /// Secure sum == decode(Σ encode(xᵢ) mod 2³²), bitwise, over random
+        /// rosters, dimensions and dropout subsets.
         #[test]
         fn prop_exact_cancellation(
             dim in 1usize..24,
-            n in 2u32..8,
+            ids in proptest::collection::vec(0u32..64, 2..10),
+            dropped in proptest::collection::vec(0u8..2, 10),
             seed in 0u64..1000,
             raw in proptest::collection::vec(-50.0f32..50.0, 1..192),
         ) {
-            let session = ExactSecAgg::new((0..n).collect(), dim, seed);
-            let codec = session.codec();
-            let updates: Vec<Vec<f32>> = (0..n as usize)
+            let mut members = ids;
+            members.sort_unstable();
+            members.dedup();
+            let n = members.len();
+            let session = ExactSecAgg::new(members.clone(), dim, seed);
+            let updates: Vec<Vec<f32>> = (0..n)
                 .map(|i| (0..dim).map(|j| raw[(i * dim + j) % raw.len()]).collect())
                 .collect();
-            let masked: Vec<Vec<u64>> = updates
-                .iter()
-                .enumerate()
-                .map(|(i, u)| session.mask(i as u32, u))
-                .collect();
-            let sum = session.unmask_sum(&(0..n).collect::<Vec<_>>(), &masked);
-            for j in 0..dim {
-                let want: f64 = updates
-                    .iter()
-                    .map(|u| f64::from(codec.decode(codec.encode(u[j]))))
-                    .sum();
-                // The ring arithmetic is exact; the only slack needed is the
-                // final f64→f32 cast of the decoded sum.
-                let tol = 1e-6 * (1.0 + want.abs());
-                prop_assert!((f64::from(sum[j]) - want).abs() < tol);
+            let live: Vec<usize> = (0..n).filter(|&i| dropped[i] == 0).collect();
+            let masked: Vec<Vec<u32>> =
+                live.iter().map(|&i| session.mask(members[i], &updates[i])).collect();
+            let survivors: Vec<u32> = live.iter().map(|&i| members[i]).collect();
+            let sum = session.unmask_sum(&survivors, &masked);
+            let want: Vec<f32> = if live.is_empty() {
+                vec![0.0; dim]
+            } else {
+                let views: Vec<&[f32]> = live.iter().map(|&i| updates[i].as_slice()).collect();
+                ring_sum(&views, n)
+            };
+            for (a, b) in sum.iter().zip(&want) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }

@@ -85,11 +85,6 @@ impl Topology {
     pub fn total_samples(&self) -> usize {
         self.samples.iter().sum()
     }
-
-    /// All sample counts.
-    pub fn all_samples(&self) -> &[usize] {
-        &self.samples
-    }
 }
 
 #[cfg(test)]

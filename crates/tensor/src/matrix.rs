@@ -206,11 +206,6 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> Scalar {
-        ops::norm(&self.data)
-    }
-
     /// Selects the given rows into a new matrix (gathers a minibatch).
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.cols);

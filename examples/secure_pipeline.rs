@@ -81,14 +81,14 @@ fn main() {
     let updates: Vec<Vec<f32>> = (0..4)
         .map(|i| (0..dim).map(|j| (i * dim + j) as f32 * 0.01).collect())
         .collect();
-    let masked: Vec<Vec<f32>> = updates
+    let masked: Vec<Vec<u32>> = updates
         .iter()
         .enumerate()
         .map(|(i, u)| session.mask(i as u32, u).0)
         .collect();
     // Client 2 drops after masking; the server recovers.
     let survivors = [0u32, 1, 3];
-    let masked_surv: Vec<Vec<f32>> = [0usize, 1, 3].iter().map(|&i| masked[i].clone()).collect();
+    let masked_surv: Vec<Vec<u32>> = [0usize, 1, 3].iter().map(|&i| masked[i].clone()).collect();
     let (sum, cost) = session.unmask_sum(&survivors, &masked_surv);
     let mut want = vec![0.0f32; dim];
     for &i in &[0usize, 1, 3] {

@@ -80,20 +80,23 @@ fn secagg_sum_of_weighted_model_params_is_exact() {
 
     let session = SecAggSession::new(vec![0, 1, 2, 3], dim, 17);
     let mut masked = Vec::new();
+    let mut scaled = Vec::new();
     for (i, p) in params.iter().enumerate() {
-        let mut scaled = p.clone();
-        ops::scale(weights[i], &mut scaled);
-        masked.push(session.mask(i as u32, &scaled).0);
+        let mut s = p.clone();
+        ops::scale(weights[i], &mut s);
+        masked.push(session.mask(i as u32, &s).0);
+        scaled.push(s);
     }
     let (sum, _) = session.unmask_sum(&[0, 1, 2, 3], &masked);
 
-    let views: Vec<&[f32]> = params.iter().map(|p| p.as_slice()).collect();
-    let mut want = vec![0.0; dim];
-    ops::weighted_sum_into(&views, &weights, &mut want);
-    let mut diff = sum.clone();
-    ops::sub_assign(&want, &mut diff);
-    let rel = ops::norm(&diff) / ops::norm(&want).max(1e-9);
-    assert!(rel < 1e-3, "relative error {rel}");
+    // Bit for bit the decoded ring sum of the weighted encodings.
+    for (j, got) in sum.iter().enumerate() {
+        let ring = scaled.iter().fold(0u32, |acc, s| {
+            acc.wrapping_add(gfl_secagg::encode(s[j], 4).unwrap())
+        });
+        let want = gfl_secagg::decode(ring);
+        assert_eq!(got.to_bits(), want.to_bits(), "coord {j}: {got} vs {want}");
+    }
 }
 
 #[test]
@@ -145,7 +148,7 @@ fn dropout_during_secure_round_preserves_survivor_aggregate() {
             u
         })
         .collect();
-    let masked: Vec<Vec<f32>> = members
+    let masked: Vec<Vec<u32>> = members
         .iter()
         .map(|&m| session.mask(m, &updates[m as usize]).0)
         .collect();
@@ -156,7 +159,7 @@ fn dropout_during_secure_round_preserves_survivor_aggregate() {
             .copied()
             .filter(|m| !dropped.contains(m))
             .collect();
-        let masked_surv: Vec<Vec<f32>> = survivors
+        let masked_surv: Vec<Vec<u32>> = survivors
             .iter()
             .map(|&m| masked[m as usize].clone())
             .collect();
